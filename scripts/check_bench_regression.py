@@ -2,7 +2,7 @@
 """Fail when a tracked benchmark metric regresses versus the baseline.
 
 Compares a freshly generated ``BENCH_throughput.json`` (from
-``scripts/bench_throughput.py`` and ``scripts/bench_sim.py``) against
+``python -m repro bench throughput`` and ``... bench sim``) against
 the committed baseline (``benchmarks/BENCH_baseline.json``) and exits
 non-zero if any tracked higher-is-better metric dropped more than the
 threshold (default 20%).
@@ -18,16 +18,18 @@ Tracked metrics:
   only) -- the per-engine decoupled-replay comparison, including the
   level-parallel engine's >= 3x AES-128 acceptance ratio;
 * ``sim.batched_grid.scenarios_per_s`` -- scenario-grid retire rate
-  through the batched config axis (the ``bench_scenarios.py`` fast
+  through the batched config axis (the ``repro bench scenarios`` fast
   path);
 * ``sim.compile.{cold,warm}_per_s`` -- compiles per second, cold
   (fresh circuit, empty dependence-graph registry, no cache) and warm
   (program-cache disk hit); inverted from the recorded seconds because
   this checker gates higher-is-better metrics only;
-* ``protocol.streaming.{monolithic,streamed}.and_gates_per_s`` and
-  ``protocol.streaming.first_level_speedup`` -- level-streamed vs
-  monolithic two-party session latency (``bench_protocol.py``; AES-128
-  at full scale, the mixed smoke circuit in the quick lane);
+* ``protocol.streaming.streamed.and_gates_per_s`` and
+  ``protocol.streaming.first_level_speedup`` -- level-streamed
+  two-party session throughput, and how much sooner its first AND level
+  is evaluated than an unbounded-window session completes
+  (``repro bench protocol``; AES-128 at full scale, the mixed smoke
+  circuit in the quick lane);
 * ``service.concurrent.{sessions_per_s,levels_per_s_mean}`` and
   ``service.process.{sessions_per_s,levels_per_s_mean}`` --
   concurrent-session throughput through the in-process multiplexer and
@@ -52,8 +54,8 @@ relaxed bar (see .github/workflows/ci.yml).
 
 Usage::
 
-    python scripts/bench_throughput.py --json BENCH_throughput.json
-    python scripts/bench_sim.py        --json BENCH_throughput.json
+    python -m repro bench throughput --json BENCH_throughput.json
+    python -m repro bench sim        --json BENCH_throughput.json
     python scripts/check_bench_regression.py BENCH_throughput.json
 """
 
@@ -101,7 +103,7 @@ def tracked_metrics(report: dict) -> dict:
     if speedup is not None:
         metrics["sim.engines.aes128.speedup_numpy_vs_vectorized"] = speedup
     # Batched multi-config replay: scenario-grid retire rate through the
-    # batched config axis (the bench_scenarios.py fast path).
+    # batched config axis (the `repro bench scenarios` fast path).
     grid = report.get("sim", {}).get("batched_grid", {})
     value = grid.get("scenarios_per_s")
     if value is not None:
@@ -115,16 +117,16 @@ def tracked_metrics(report: dict) -> dict:
         value = compile_block.get(key)
         if value is not None:
             metrics[f"sim.compile.{key}"] = value
-    # Level-streamed session (bench_protocol.py): end-to-end AND-gate
-    # throughput in both drive modes, plus the pipelining headline --
-    # how much sooner the streamed Evaluator finishes its first AND
-    # level than the monolithic exchange completes.  The speedup is a
-    # same-run ratio, so it is host-robust like the engine speedups.
+    # Level-streamed session (repro bench protocol): end-to-end AND-gate
+    # throughput, plus the pipelining headline -- how much sooner the
+    # window-1 Evaluator finishes its first AND level than a session
+    # that garbles every level before evaluating any completes.  The
+    # speedup is a same-run ratio, so it is host-robust like the engine
+    # speedups.
     streaming = report.get("protocol", {}).get("streaming", {})
-    for mode in ("monolithic", "streamed"):
-        value = streaming.get(mode, {}).get("and_gates_per_s")
-        if value is not None:
-            metrics[f"protocol.streaming.{mode}.and_gates_per_s"] = value
+    value = streaming.get("streamed", {}).get("and_gates_per_s")
+    if value is not None:
+        metrics["protocol.streaming.streamed.and_gates_per_s"] = value
     value = streaming.get("first_level_speedup")
     if value is not None:
         metrics["protocol.streaming.first_level_speedup"] = value

@@ -1,6 +1,6 @@
 """Scenario-grid analysis: render ``BENCH_scenarios.json`` as report text.
 
-``scripts/bench_scenarios.py`` sweeps queue SRAM per GE (coupled model)
+``repro bench scenarios`` sweeps queue SRAM per GE (coupled model)
 and DRAM bandwidth (decoupled model) for several workloads and persists
 the grid -- including a per-workload ``summary`` block with the paper's
 two design-space answers: the queue-SRAM *knee* where coupling costs
@@ -39,7 +39,7 @@ __all__ = [
 SCHEMA_PREFIX = "repro.bench_scenarios/"
 
 #: A queue point within 1% of the decoupled runtime counts as converged
-#: (shared with scripts/bench_scenarios.py so artifact and analysis
+#: (shared with ``repro bench scenarios`` so artifact and analysis
 #: agree on what "knee" means).
 KNEE_TOLERANCE = 1.01
 

@@ -6,14 +6,12 @@ header, merge-into-``BENCH_throughput.json`` semantics in one place):
 
 * ``throughput`` -- garbling/evaluation gates-per-second per backend;
 * ``sim``        -- timing-simulator models, engines, batched grid;
-* ``protocol``   -- streamed vs monolithic two-party session latency;
+* ``protocol``   -- streamed two-party session latency vs an unbounded
+  in-flight window;
 * ``service``    -- concurrent-session multiplexer throughput;
 * ``scenarios``  -- queue x bandwidth scenario scan (standalone
   artifact; ``--store`` makes it resumable through the
   content-addressed :class:`repro.store.ResultStore`).
-
-The historical ``scripts/bench_*.py`` entry points are deprecated shims
-forwarding here.
 """
 
 from __future__ import annotations

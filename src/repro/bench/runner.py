@@ -1,11 +1,10 @@
 """Shared plumbing for every ``repro bench`` suite.
 
-One place owns what the five historical ``scripts/bench_*.py`` each
-reimplemented: the common CLI flags (``--quick``, ``--repeats``,
-``--json``/``--out``, ``--store``), best-of-N timing, and the
-merge-into-``BENCH_throughput.json`` semantics (uniform schema header,
-section keys, owned-key replacement so a re-run never leaves stale
-sub-sections behind).
+One place owns what every suite needs: the common CLI flags
+(``--quick``, ``--repeats``, ``--json``/``--out``, ``--store``),
+best-of-N timing, and the merge-into-``BENCH_throughput.json``
+semantics (uniform schema header, section keys, owned-key replacement
+so a re-run never leaves stale sub-sections behind).
 """
 
 from __future__ import annotations

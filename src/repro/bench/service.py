@@ -13,7 +13,7 @@ Two transports, gated identically:
 
 Before reporting any numbers, every concurrent result -- output bits
 *and* transcript digest -- is asserted bit-identical to a solo
-``run_streamed`` of the same session (the process path additionally
+``TwoPartySession.run`` of the same session (the process path additionally
 hands the supervisor the solo digest as its retry re-verification
 reference): throughput figures for a protocol that corrupts under
 concurrency are worthless.  Merges into ``BENCH_throughput.json`` under
@@ -47,7 +47,7 @@ _TRANSPORT_KEYS = ("concurrent", "process")
 
 
 def _solo_reference(circuit, garbler_bits, evaluator_bits):
-    return TwoPartySession(circuit, seed=7, backend="auto").run_streamed(
+    return TwoPartySession(circuit, seed=7, backend="auto").run(
         garbler_bits, evaluator_bits
     )
 

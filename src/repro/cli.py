@@ -195,19 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
         "or all cores)",
     )
     p_p.add_argument(
-        "--stream",
-        action="store_true",
-        help="level-streamed session over the framed transport "
-        "(tables ship per AND level; transcript-digest verified)",
-    )
-    p_p.add_argument(
         "--faults",
         default=None,
         metavar="SPEC",
         help="deterministic chaos run, e.g. 'drop:0.05,seed=7' "
         "(kinds: drop corrupt truncate tamper duplicate delay reorder "
-        "kill_worker tear_cache; implies --stream; default: "
-        "$REPRO_FAULTS)",
+        "kill_worker tear_cache; default: $REPRO_FAULTS)",
     )
 
     p_srv = sub.add_parser(
@@ -305,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         "path",
         nargs="?",
         default=None,
-        help="artifact from scripts/bench_scenarios.py (default: "
+        help="artifact from `repro bench scenarios` (default: "
         "./BENCH_scenarios.json, else the committed benchmarks/ copy)",
     )
     p_sc.add_argument(
@@ -582,8 +575,6 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
             return 2
         # The explicit flag wins over a count pinned in the spec.
         backend = f"parallel:{workers}"
-    faults_spec = getattr(args, "faults", None)
-    streamed = bool(getattr(args, "stream", False) or faults_spec)
     try:
         result = run_two_party(
             circuit,
@@ -591,8 +582,7 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
             encode_int(args.bob, args.width),
             seed=2023,
             backend=backend,
-            faults=faults_spec,
-            streamed=streamed,
+            faults=getattr(args, "faults", None),
         )
     except ProtocolFault as exc:
         print(f"session failed: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -601,14 +591,13 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     print(f"richer: {richer}")
     print(f"gates: {len(circuit.gates)} ({result.and_gates} garbled tables)")
     print(f"bytes exchanged: {result.total_bytes}")
-    if result.streamed:
-        print(
-            f"streamed: {result.streamed_levels} AND levels, "
-            f"first level after {result.first_level_s * 1e3:.1f} ms"
-            if result.first_level_s is not None
-            else f"streamed: {result.streamed_levels} AND levels"
-        )
-        print(f"transcript sha256: {result.transcript_digest}")
+    print(
+        f"streamed: {result.streamed_levels} AND levels, "
+        f"first level after {result.first_level_s * 1e3:.1f} ms"
+        if result.first_level_s is not None
+        else f"streamed: {result.streamed_levels} AND levels"
+    )
+    print(f"transcript sha256: {result.transcript_digest}")
     if result.fault_events:
         print(f"faults injected: {len(result.fault_events)}")
     if result.recovery_events:
@@ -839,7 +828,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     if path is None:
         print(
             "no BENCH_scenarios.json found; run "
-            "`python scripts/bench_scenarios.py` first (or pass a path)",
+            "`python -m repro bench scenarios` first (or pass a path)",
             file=sys.stderr,
         )
         return 2

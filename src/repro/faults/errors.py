@@ -71,7 +71,7 @@ class CacheEntryTorn(ProtocolFault):
 
 
 class ChannelProtocolError(ProtocolFault):
-    """The legacy in-memory channel was used out of protocol order."""
+    """A message cannot be framed within the transport's header limits."""
 
 
 class ServiceSaturated(ProtocolFault):

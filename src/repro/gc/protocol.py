@@ -1,43 +1,48 @@
-"""End-to-end two-party GC session.
+"""Two-party GC session: each party written once, driven three ways.
 
-Orchestrates the full protocol of paper section 2.1 over the in-memory
-channel:
+The protocol of paper section 2.1, level-streamed over the framed
+transport of :mod:`repro.gc.channel`:
 
-1. *Offline / garbling*: Alice garbles the circuit, producing tables and
-   the output decode map.
-2. *Input transfer*: Alice sends her own input labels directly; Bob's
-   labels are transferred by oblivious transfer so Alice never sees his
-   bits.
-3. *Online / evaluation*: Bob evaluates gate by gate, consuming the table
-   stream in order.
-4. *Output*: Bob decodes with the decode bits (both-learn variant) and
-   shares the result with Alice.
+1. *Handshake*: Alice (Garbler) draws R and the input labels, sends
+   her own input labels directly and Bob's by oblivious transfer, so
+   she never sees his bits.
+2. *Streaming*: Alice garbles along :meth:`Circuit.and_level_schedule`
+   and ships each AND level's table block as soon as it is computed;
+   Bob evaluates level ``L`` while Alice garbles ``L+1`` instead of
+   waiting for the whole circuit.
+3. *Output*: Bob decodes with Alice's decode bits (both-learn variant)
+   and returns the output bits.
+4. *Transcript check*: both sides exchange SHA-256 transcript digests
+   *before* any result is built, so a tampered frame that slipped past
+   the per-frame CRC raises :class:`~repro.faults.TranscriptMismatch`.
 
-Two drive modes share the handshake:
+Each party is one generator role -- :func:`garbler_role` and
+:func:`evaluator_role` -- that sends and receives on its own
+:class:`~repro.gc.channel.FramedChannel` objects, yields at every pause
+(the receiving channel just before each receive, :data:`HANDSHAKE`
+after the handshake, a :class:`Level` after each AND level) and returns
+a :class:`RoleReport`.  Three drivers run the roles:
 
-* :meth:`TwoPartySession.run` -- the original monolithic exchange over
-  the perfect in-memory :class:`~repro.gc.channel.ChannelPair`;
-* :meth:`TwoPartySession.run_streamed` -- level-streamed delivery over
-  the framed lossy transport: garbling and evaluation interleave along
-  :meth:`Circuit.and_level_schedule`, each AND level's table block ships
-  as soon as it is computed (the ROADMAP's pipelining framing -- the
-  Evaluator starts after the first level instead of after the whole
-  circuit), every message rides sequence-numbered CRC-checked frames
-  with bounded retransmit, and both sides close with a transcript-digest
-  exchange.  Faults injected by a :class:`repro.faults.FaultPlan` either
-  leave the result bit-identical to the fault-free run or raise a typed
-  :class:`repro.faults.ProtocolFault`; the survived degradations are on
-  ``SessionResult.recovery_events``.
+* :class:`StreamedDriver` runs both roles in process over one framed
+  pair, one step at a time (:meth:`TwoPartySession.run` loops it; the
+  :class:`~repro.serve.SessionMultiplexer` interleaves many drivers);
+* a worker process of :mod:`repro.serve.procs` runs one role over its
+  end of a kernel socket;
+* :func:`session_result` builds the :class:`SessionResult` from the two
+  reports, for the driver and for the :class:`~repro.serve.Supervisor`.
 
-This path is exercised by the quickstart example and the protocol tests;
-the HAAC accelerator replaces step 3's software evaluation.
+Faults injected by a :class:`repro.faults.FaultPlan` either leave the
+result bit-identical to the fault-free run or raise a typed
+:class:`repro.faults.ProtocolFault`; the survived degradations are on
+``SessionResult.recovery_events``.  The HAAC accelerator replaces the
+software garbling and evaluation inside the roles.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Generator, List, NamedTuple, Optional, Sequence, Union
 
 from .. import faults as faults_mod
 from ..circuits.netlist import Circuit, GateOp
@@ -51,15 +56,7 @@ from ..faults import (
     TranscriptMismatch,
     resolve_fault_plan,
 )
-from .channel import (
-    DIGEST_KIND,
-    ChannelPair,
-    FramedPair,
-    make_channel_pair,
-    make_framed_pair,
-)
-from .evaluate import evaluate_circuit, evaluate_circuit_batched
-from .garble import garble_circuit, garble_circuit_batched
+from .channel import DIGEST_KIND, FramedChannel, FramedPair, make_framed_pair
 from .halfgate import GarbledTable, eval_and, garble_and
 from .hashing import GateHasher
 from .labels import lsb
@@ -67,32 +64,36 @@ from .ot import GROUP_P, OtReceiver, OtSender
 from .rng import LabelPrg
 
 __all__ = [
+    "HANDSHAKE",
+    "Level",
+    "RoleReport",
     "SessionResult",
     "StreamedDriver",
     "TwoPartySession",
+    "evaluator_role",
+    "garbler_role",
     "run_two_party",
+    "session_result",
 ]
 
 _LABEL_BYTES = 16
 _TABLE_BYTES = 32
-_GROUP_BYTES = 64  # accounting charge per group element (legacy channel)
-# Actual wire width of a serialized group element on the framed path.
+# Wire width of a serialized group element.
 _POINT_BYTES = (GROUP_P.bit_length() + 7) // 8
-_DECODE_BITS_PER_BYTE = 8
 
 
 @dataclass
 class SessionResult:
     """Outcome of a two-party run.
 
-    The trailing fields are the reliability ledger added with the
-    streamed path: ``recovery_events`` lists every survived degradation
-    (transport retransmits, pool shard retries, cache recoveries,
-    backend fallbacks), ``fault_events`` what the active
+    ``recovery_events`` lists every survived degradation (transport
+    retransmits, pool shard retries, cache recoveries, backend
+    fallbacks), ``fault_events`` what the active
     :class:`~repro.faults.FaultPlan` injected, ``transcript_digest`` the
     hex SHA-256 of the garbler->evaluator message transcript as verified
     by both sides, and ``first_level_s`` the latency until the first AND
-    level's tables were delivered *and evaluated* (streamed runs only).
+    level's tables were delivered *and evaluated* (``None`` without AND
+    gates).
     """
 
     output_bits: List[int]
@@ -103,15 +104,14 @@ class SessionResult:
     recovery_events: List[RecoveryEvent] = field(default_factory=list)
     fault_events: List[FaultEvent] = field(default_factory=list)
     transcript_digest: Optional[str] = None
-    streamed: bool = False
     streamed_levels: int = 0
     first_level_s: Optional[float] = None
 
 
 # --------------------------------------------------------------------------
-# Wire serialization helpers (streamed path).  The framed transport
-# carries raw bytes, so every message is serialized explicitly; damaged
-# payload structure surfaces as SessionAborted, not a random exception.
+# Wire serialization helpers.  The framed transport carries raw bytes,
+# so every message is serialized explicitly; damaged payload structure
+# surfaces as SessionAborted, not a random exception.
 # --------------------------------------------------------------------------
 
 
@@ -148,7 +148,7 @@ def _unpack_bits(data: bytes, n_bits: int, what: str) -> List[int]:
 
 
 # --------------------------------------------------------------------------
-# Streaming parties
+# Party state: labels and per-level garbling / evaluation
 # --------------------------------------------------------------------------
 
 
@@ -157,9 +157,9 @@ class _StreamingGarbler:
 
     Labels are drawn exactly as in :func:`repro.gc.garble.garble_circuit`
     (same PRG order: R, then one label per input wire), so input labels,
-    tables and decode bits are bit-identical to the monolithic path --
-    only the table *stream order* follows the AND-level schedule instead
-    of netlist order.
+    tables and decode bits are bit-identical to that audited reference
+    -- only the table *stream order* follows the AND-level schedule
+    instead of netlist order.
     """
 
     def __init__(self, circuit: Circuit, seed: int, rekeyed: bool, backend) -> None:
@@ -172,9 +172,6 @@ class _StreamingGarbler:
         self.zero: List[int] = [
             prg.next_block() for _ in range(circuit.n_inputs)
         ] + [0] * len(circuit.gates)
-        self.n_and_gates = sum(
-            1 for gate in circuit.gates if gate.op is GateOp.AND
-        )
 
     def input_label(self, wire: int, bit: int) -> int:
         if wire >= self.circuit.n_inputs:
@@ -309,10 +306,245 @@ class _StreamingEvaluator:
         ]
 
 
-class TwoPartySession:
-    """Drives Alice (Garbler) and Bob (Evaluator) over a channel pair.
+# --------------------------------------------------------------------------
+# The two roles
+# --------------------------------------------------------------------------
 
-    The two parties only interact through the channel pair; neither
+#: Marker a role yields once its half of the handshake is done.
+HANDSHAKE = "handshake"
+
+
+class Level(NamedTuple):
+    """Marker a role yields after each AND level of the schedule."""
+
+    index: int
+    #: AND levels whose tables this role has sent or received so far.
+    streamed_levels: int
+    #: Evaluator only: seconds from ``t_start`` until the first AND
+    #: level was evaluated (``None`` before that, and for the garbler).
+    first_level_s: Optional[float]
+
+
+@dataclass
+class RoleReport:
+    """What a role returns when its half of the session finishes."""
+
+    output_bits: List[int]
+    #: Hex SHA-256 of the garbler->evaluator transcript: as sent (the
+    #: garbler) or as delivered and verified (the evaluator).
+    transcript_digest: str
+    #: Per-kind wire bytes of the channel this role sends on.  It is
+    #: that channel's live counter: in process the receiver's
+    #: retransmits still land on it until the peer finishes.
+    sent_bytes: Dict[str, int]
+    levels: int
+    streamed_levels: int
+    first_level_s: Optional[float]
+    and_gates: int
+    hash_calls: int
+
+
+#: What a role yields: the channel it receives on next, or a marker.
+Pause = Union[FramedChannel, str, Level]
+
+
+def _recv(channel: FramedChannel, kind: str) -> Generator[Pause, None, bytes]:
+    """Pause just before receiving, then receive (``yield from`` it)."""
+    yield channel
+    return channel.recv_message(kind)
+
+
+def _verify_transcript(channel: FramedChannel, claimed: bytes) -> bytes:
+    """Check the sender's claimed digest against what was delivered."""
+    delivered = channel.recv_digest()
+    if claimed != delivered:
+        raise TranscriptMismatch(
+            f"{channel.name} transcript diverged: sender "
+            f"{claimed.hex()[:16]}..., receiver {delivered.hex()[:16]}..."
+        )
+    return delivered
+
+
+def garbler_role(
+    circuit: Circuit,
+    seed: int,
+    rekeyed: bool,
+    backend,
+    garbler_bits: Sequence[int],
+    down: FramedChannel,
+    up: FramedChannel,
+) -> Generator[Pause, None, RoleReport]:
+    """Alice: OT sender, garbles and streams tables on ``down``."""
+    alice = _StreamingGarbler(circuit, seed, rekeyed, backend)
+    sender = OtSender(LabelPrg(seed + 0x0F))
+    down.send_message("ot_public", sender.public.to_bytes(_POINT_BYTES, "big"))
+    points = _bytes_to_ints(
+        (yield from _recv(up, "ot_points")), _POINT_BYTES, "ot_points"
+    )
+    label_pairs = [
+        (alice.input_label(wire, 0), alice.input_label(wire, 1))
+        for wire in circuit.evaluator_input_wires
+    ]
+    cipher_pairs = sender.encrypt_batch(points, label_pairs)
+    down.send_message(
+        "ot_ciphers",
+        _ints_to_bytes([c for pair in cipher_pairs for c in pair], _LABEL_BYTES),
+    )
+    alice_labels = [
+        alice.input_label(wire, bit)
+        for wire, bit in zip(circuit.garbler_input_wires, garbler_bits)
+    ]
+    down.send_message("garbler_labels", _ints_to_bytes(alice_labels, _LABEL_BYTES))
+    yield HANDSHAKE
+
+    schedule = circuit.and_level_schedule()
+    streamed = 0
+    for index, (and_positions, free_groups) in enumerate(schedule):
+        block = alice.garble_phase(and_positions, free_groups)
+        if and_positions:
+            down.send_message("tables", block)
+            streamed += 1
+        yield Level(index, streamed, None)
+
+    down.send_message("decode", _pack_bits(alice.decode_bits()))
+    output_bits = _unpack_bits(
+        (yield from _recv(up, "outputs")), len(circuit.outputs), "outputs"
+    )
+    down.send_message(DIGEST_KIND, down.send_digest())
+    _verify_transcript(up, (yield from _recv(up, DIGEST_KIND)))
+    return RoleReport(
+        output_bits=output_bits,
+        transcript_digest=down.send_digest().hex(),
+        sent_bytes=down.bytes_by_class,
+        levels=len(schedule),
+        streamed_levels=streamed,
+        first_level_s=None,
+        and_gates=sum(len(ands) for ands, _ in schedule),
+        hash_calls=alice.hasher.calls,
+    )
+
+
+def evaluator_role(
+    circuit: Circuit,
+    seed: int,
+    rekeyed: bool,
+    backend,
+    evaluator_bits: Sequence[int],
+    down: FramedChannel,
+    up: FramedChannel,
+    t_start: Optional[float] = None,
+) -> Generator[Pause, None, RoleReport]:
+    """Bob: OT receiver, evaluates each AND level as its tables arrive.
+
+    ``t_start`` is the ``time.perf_counter()`` origin of
+    ``first_level_s``; ``None`` means the role's own start.
+    """
+    if t_start is None:
+        t_start = time.perf_counter()
+    receiver = OtReceiver(
+        LabelPrg(seed + 0xB0B),
+        int.from_bytes((yield from _recv(down, "ot_public")), "big"),
+    )
+    points_and_secrets = receiver.choose_batch(evaluator_bits)
+    up.send_message(
+        "ot_points",
+        _ints_to_bytes([p for p, _ in points_and_secrets], _POINT_BYTES),
+    )
+    flat_ciphers = _bytes_to_ints(
+        (yield from _recv(down, "ot_ciphers")), _LABEL_BYTES, "ot_ciphers"
+    )
+    alice_labels = _bytes_to_ints(
+        (yield from _recv(down, "garbler_labels")), _LABEL_BYTES, "garbler_labels"
+    )
+    if len(alice_labels) != circuit.n_garbler_inputs:
+        raise SessionAborted(
+            f"garbler_labels: expected {circuit.n_garbler_inputs} labels, "
+            f"got {len(alice_labels)}"
+        )
+    bob_labels = receiver.decrypt_batch(
+        evaluator_bits,
+        [secret for _, secret in points_and_secrets],
+        list(zip(flat_ciphers[0::2], flat_ciphers[1::2])),
+    )
+    bob = _StreamingEvaluator(circuit, alice_labels + bob_labels, rekeyed, backend)
+    yield HANDSHAKE
+
+    schedule = circuit.and_level_schedule()
+    streamed = 0
+    first_level_s: Optional[float] = None
+    for index, (and_positions, free_groups) in enumerate(schedule):
+        block = b""
+        if and_positions:
+            block = yield from _recv(down, "tables")
+            streamed += 1
+        bob.eval_phase(and_positions, free_groups, block)
+        if and_positions and first_level_s is None:
+            first_level_s = time.perf_counter() - t_start
+        yield Level(index, streamed, first_level_s)
+
+    decode_bits = _unpack_bits(
+        (yield from _recv(down, "decode")), len(circuit.outputs), "decode"
+    )
+    output_bits = bob.decode(decode_bits)
+    up.send_message("outputs", _pack_bits(output_bits))
+    delivered = _verify_transcript(down, (yield from _recv(down, DIGEST_KIND)))
+    up.send_message(DIGEST_KIND, up.send_digest())
+    return RoleReport(
+        output_bits=output_bits,
+        transcript_digest=delivered.hex(),
+        sent_bytes=up.bytes_by_class,
+        levels=len(schedule),
+        streamed_levels=streamed,
+        first_level_s=first_level_s,
+        and_gates=sum(len(ands) for ands, _ in schedule),
+        hash_calls=bob.hasher.calls,
+    )
+
+
+def session_result(
+    garbler: RoleReport,
+    evaluator: RoleReport,
+    *,
+    recovery_events: Sequence[RecoveryEvent],
+    fault_events: Sequence[FaultEvent],
+) -> SessionResult:
+    """The :class:`SessionResult` of a session whose roles both finished.
+
+    Raises :class:`~repro.faults.TranscriptMismatch` if the two parties
+    decoded different output bits.
+    """
+    if garbler.output_bits != evaluator.output_bits:
+        raise TranscriptMismatch("parties decoded different output bits")
+    traffic: Dict[str, int] = {}
+    for direction, report in (
+        ("garbler->evaluator", garbler),
+        ("evaluator->garbler", evaluator),
+    ):
+        for kind, size in report.sent_bytes.items():
+            traffic[f"{direction}:{kind}"] = size
+    return SessionResult(
+        output_bits=list(evaluator.output_bits),
+        traffic=traffic,
+        total_bytes=sum(traffic.values()),
+        and_gates=evaluator.and_gates,
+        hash_calls_evaluator=evaluator.hash_calls,
+        recovery_events=list(recovery_events),
+        fault_events=list(fault_events),
+        transcript_digest=evaluator.transcript_digest,
+        streamed_levels=evaluator.streamed_levels,
+        first_level_s=evaluator.first_level_s,
+    )
+
+
+# --------------------------------------------------------------------------
+# In-process drive
+# --------------------------------------------------------------------------
+
+
+class TwoPartySession:
+    """One two-party session's parameters; :meth:`run` drives it.
+
+    The two parties only interact through the framed channels; neither
     reads the other's state.  ``seed`` fixes all randomness (labels, OT
     ephemerals) for reproducibility.
     """
@@ -341,8 +573,6 @@ class TwoPartySession:
         ``config.fault_spec`` and then the ``REPRO_FAULTS`` environment
         variable.  ``config`` (a :class:`~repro.sim.config.HaacConfig`)
         also supplies the backend spec when ``backend`` is ``None``.
-        Frame faults only bite on :meth:`run_streamed`; process faults
-        (``kill_worker`` / ``tear_cache``) apply to both drive modes.
         """
         circuit.validate()
         self.circuit = circuit
@@ -357,8 +587,6 @@ class TwoPartySession:
         self.faults = faults
         self.chunk_bytes = chunk_bytes
         self.max_retries = max_retries
-        self.channels: ChannelPair = make_channel_pair()
-        self.framed: Optional[FramedPair] = None
 
     def _resolved_backend(self):
         if self.backend is None:
@@ -367,179 +595,81 @@ class TwoPartySession:
 
         return resolve_backend(self.backend)
 
-    @staticmethod
-    def _surface_backend_events(resolved, log: RecoveryLog) -> None:
-        """Fold silent backend degradations into the recovery ledger."""
-        if resolved is None:
-            return
-        reason = getattr(resolved, "auto_fallback_reason", None)
-        if reason and not log.count("backend", "scalar_fallback"):
-            log.record("backend", "scalar_fallback", reason)
-        pool_reason = getattr(resolved, "pool_disabled_reason", None)
-        if pool_reason and not log.count("pool"):
-            log.record("pool", "pool_disabled", pool_reason)
-
     def run(
         self, garbler_bits: Sequence[int], evaluator_bits: Sequence[int]
     ) -> SessionResult:
-        circuit = self.circuit
-        if len(garbler_bits) != circuit.n_garbler_inputs:
-            raise ValueError("wrong number of garbler input bits")
-        if len(evaluator_bits) != circuit.n_evaluator_inputs:
-            raise ValueError("wrong number of evaluator input bits")
-        down = self.channels.to_evaluator
-        up = self.channels.to_garbler
+        """Drive the session to completion over the in-memory framed pair.
 
-        log = RecoveryLog()
-        plan = resolve_fault_plan(self.faults)
-        if plan is not None:
-            plan.reset()
-        resolved = self._resolved_backend()
-        with faults_mod.install(plan, log):
-            # -- Alice: offline garbling --------------------------------
-            if resolved is None:
-                garbler = garble_circuit(
-                    circuit, seed=self.seed, rekeyed=self.rekeyed
-                )
-            else:
-                garbler = garble_circuit_batched(
-                    circuit,
-                    seed=self.seed,
-                    rekeyed=self.rekeyed,
-                    backend=resolved,
-                )
-            garbled = garbler.garbled
-
-            # -- OT round trip for Bob's labels (Bob consumes channel
-            #    messages in FIFO order, so the OT handshake goes first)
-            sender = OtSender(LabelPrg(self.seed + 0x0F))
-            down.send("ot_public", sender.public, _GROUP_BYTES)
-            receiver = OtReceiver(
-                LabelPrg(self.seed + 0xB0B), down.recv("ot_public")
-            )
-
-            # Batched fixed-base OT: one squaring pass for all of Bob's
-            # choice bits (transcript-identical to per-bit choose calls).
-            points_and_secrets = receiver.choose_batch(evaluator_bits)
-            up.send(
-                "ot_points",
-                [point for point, _ in points_and_secrets],
-                _GROUP_BYTES * len(points_and_secrets),
-            )
-            points = up.recv("ot_points")
-
-            # Batched fixed-base sender encryption: one variable-base
-            # exponentiation per bit, the (A^{-1})^a pad factor shared
-            # across the batch (transcript-identical to per-bit encrypt).
-            label_pairs = [
-                (garbler.input_label(wire, 0), garbler.input_label(wire, 1))
-                for wire in circuit.evaluator_input_wires
-            ]
-            cipher_pairs = sender.encrypt_batch(points, label_pairs)
-            down.send(
-                "ot_ciphers", cipher_pairs, 2 * _LABEL_BYTES * len(cipher_pairs)
-            )
-
-            # -- Alice: tables, decode map and her own input labels -----
-            down.send("tables", garbled.tables, _TABLE_BYTES * len(garbled.tables))
-            down.send(
-                "decode",
-                garbled.decode_bits,
-                (len(garbled.decode_bits) + _DECODE_BITS_PER_BYTE - 1)
-                // _DECODE_BITS_PER_BYTE,
-            )
-            alice_labels = [
-                garbler.input_label(wire, bit)
-                for wire, bit in zip(circuit.garbler_input_wires, garbler_bits)
-            ]
-            down.send(
-                "garbler_labels", alice_labels, _LABEL_BYTES * len(alice_labels)
-            )
-
-            # -- Bob: receive everything and evaluate --------------------
-            bob_ciphers = down.recv("ot_ciphers")
-            tables = down.recv("tables")
-            decode_bits = down.recv("decode")
-            bob_alice_labels = down.recv("garbler_labels")
-            bob_labels = receiver.decrypt_batch(
-                list(evaluator_bits),
-                [secret for _, secret in points_and_secrets],
-                bob_ciphers,
-            )
-            input_labels = list(bob_alice_labels) + bob_labels
-            garbled_for_bob = type(garbled)(
-                tables=tables,
-                decode_bits=decode_bits,
-                n_and_gates=len(tables),
-            )
-            if resolved is None:
-                result = evaluate_circuit(
-                    circuit, garbled_for_bob, input_labels, rekeyed=self.rekeyed
-                )
-            else:
-                result = evaluate_circuit_batched(
-                    circuit,
-                    garbled_for_bob,
-                    input_labels,
-                    rekeyed=self.rekeyed,
-                    backend=resolved,
-                )
-
-            # -- Output sharing ------------------------------------------
-            up.send(
-                "outputs",
-                result.output_bits,
-                (len(result.output_bits) + _DECODE_BITS_PER_BYTE - 1)
-                // _DECODE_BITS_PER_BYTE,
-            )
-
-        self._surface_backend_events(resolved, log)
-        return SessionResult(
-            output_bits=result.output_bits,
-            traffic=self.channels.traffic_report(),
-            total_bytes=self.channels.total_bytes,
-            and_gates=garbled.n_and_gates,
-            hash_calls_evaluator=result.hash_calls,
-            recovery_events=list(log.events),
-            fault_events=list(plan.injected) if plan is not None else [],
-        )
-
-    def run_streamed(
-        self, garbler_bits: Sequence[int], evaluator_bits: Sequence[int]
-    ) -> SessionResult:
-        """Level-streamed session over the framed lossy transport.
-
-        Same handshake and bit-identical outputs as :meth:`run`; tables
-        ship one AND level at a time so evaluation overlaps garbling.
         Under an armed fault plan the session either completes with
         output and transcript identical to the fault-free run or raises
         a typed :class:`~repro.faults.ProtocolFault` -- it never hangs
         (bounded retransmits) and never returns corrupt output (the
         transcript-digest exchange runs *before* the result is built).
         """
-        circuit = self.circuit
-        if len(garbler_bits) != circuit.n_garbler_inputs:
-            raise ValueError("wrong number of garbler input bits")
-        if len(evaluator_bits) != circuit.n_evaluator_inputs:
-            raise ValueError("wrong number of evaluator input bits")
-
         driver = StreamedDriver(self, garbler_bits, evaluator_bits)
         while not driver.done:
             driver.step()
-        assert driver.result is not None
         return driver.result
 
 
-class StreamedDriver:
-    """Step-wise drive of one level-streamed session.
+class _Party:
+    """One role generator as the in-process drive resumes it."""
 
-    :meth:`TwoPartySession.run_streamed` loops :meth:`step` to
-    completion; the session multiplexer (:mod:`repro.serve`) instead
-    interleaves ``step()`` calls from many drivers on one scheduler, so
-    one step is the fairness quantum.  Each step runs under the
-    session's *own* ``faults.install`` scope -- installed on entry,
-    popped on exit -- so one session's fault plan and recovery ledger
-    never leak into whichever session the scheduler steps next.
+    def __init__(self, role: Generator[Pause, None, RoleReport]) -> None:
+        self.role = role
+        self.waiting_on: Optional[FramedChannel] = None
+        self.mark: Optional[Union[str, Level]] = None
+        self.report: Optional[RoleReport] = None
+
+    def advance(self) -> bool:
+        """Resume to the next marker or the end of the role.
+
+        Returns ``False`` instead while the role waits to receive a
+        message its peer has not sent yet.
+        """
+        while True:
+            if self.waiting_on is not None:
+                if not self.waiting_on.has_message():
+                    return False
+                self.waiting_on = None
+            try:
+                pause = next(self.role)
+            except StopIteration as stop:
+                self.report = stop.value
+                return True
+            if isinstance(pause, FramedChannel):
+                self.waiting_on = pause
+            else:
+                self.mark = pause
+                return True
+
+
+def _advance_all(*parties: _Party) -> None:
+    """Advance parties in turn until each reached its next marker."""
+    pending = list(parties)
+    while pending:
+        pending = [party for party in pending if not party.advance()]
+        if pending and not any(p.waiting_on.has_message() for p in pending):
+            raise SessionAborted(
+                "parties deadlocked: each waits on a message the other "
+                "never sent"
+            )
+
+
+class StreamedDriver:
+    """Step-wise in-process drive of both roles of one session.
+
+    :meth:`TwoPartySession.run` loops :meth:`step` to completion; the
+    session multiplexer (:mod:`repro.serve`) instead interleaves
+    ``step()`` calls from many drivers on one scheduler, so one step is
+    the fairness quantum.  Each step runs under the session's *own*
+    ``faults.install`` scope -- installed on entry, popped on exit -- so
+    one session's fault plan and recovery ledger never leak into
+    whichever session the scheduler steps next.
+
+    A role paused before a receive is resumed only once its peer sent
+    that message, so the two roles' channel operations run in one
+    deterministic global order (the order fault plans draw in).
 
     ``max_inflight_levels`` bounds how many garbled-but-not-yet-evaluated
     AND levels may sit on the wire before the driver switches to
@@ -549,11 +679,10 @@ class StreamedDriver:
     window-1 lockstep drive, only the interleaving across directions
     shifts.
 
-    The phases are: ``handshake`` (label draw + OT + garbler labels),
-    ``garble``/``eval`` one AND level per step, then ``finish`` (decode,
-    output exchange, transcript-digest verification, result build).
-    After a raised fault the driver is ``done`` with ``result`` still
-    ``None``.
+    The steps are: the whole ``handshake``, then one AND level garbled
+    or evaluated per step, then ``finish`` (decode, output exchange,
+    transcript-digest verification, result build).  After a raised
+    fault the driver is ``done`` with ``result`` still ``None``.
     """
 
     def __init__(
@@ -601,49 +730,41 @@ class StreamedDriver:
             pair.to_evaluator.log = self.log
             pair.to_garbler.log = self.log
         self.pair = pair
-        session.framed = pair
-        self.down = pair.to_evaluator
-        self.up = pair.to_garbler
         self.resolved = session._resolved_backend()
         self.done = False
         self.result: Optional[SessionResult] = None
-        # Phase state.
-        self._started = False
-        self._levels: Optional[List] = None
-        self._g = 0  # levels garbled (tables pushed onto the wire)
-        self._e = 0  # levels evaluated
-        self._t_start: Optional[float] = None
-        self._first_level_s: Optional[float] = None
-        self._streamed_levels = 0
-        self._alice: Optional[_StreamingGarbler] = None
-        self._bob: Optional[_StreamingEvaluator] = None
+        self._garbler: Optional[_Party] = None
+        self._evaluator: Optional[_Party] = None
+        self._levels: Optional[int] = None
+        self._garbled = 0
+        self._evaluated = 0
+        self._progress = Level(-1, 0, None)  # the evaluator's last Level
 
     # -- scheduling hooks ----------------------------------------------
 
     @property
     def levels_total(self) -> Optional[int]:
         """AND-level count, known once the handshake ran."""
-        return None if self._levels is None else len(self._levels)
+        return self._levels
 
     @property
     def levels_evaluated(self) -> int:
-        return self._e
+        return self._evaluated
 
     @property
     def streamed_levels(self) -> int:
         """AND levels whose tables were delivered over the wire so far."""
-        return self._streamed_levels
+        return self._progress.streamed_levels
 
     @property
     def first_level_s(self) -> Optional[float]:
-        """Latency to the first evaluated AND level, once reached."""
-        return self._first_level_s
+        """Latency from the first step to the first evaluated AND level."""
+        return self._progress.first_level_s
 
     def step(self) -> bool:
         """Advance the session by one quantum; returns ``done``.
 
-        Faults raise out of here exactly as from ``run_streamed``:
-        typed :class:`~repro.faults.ProtocolFault` subclasses pass
+        Typed :class:`~repro.faults.ProtocolFault` subclasses pass
         through, anything else is normalised to
         :class:`~repro.faults.SessionAborted` with the original as
         ``__cause__``.  Either way the driver is finished -- a faulted
@@ -666,165 +787,56 @@ class StreamedDriver:
         return self.done
 
     def _step_inner(self) -> None:
-        if not self._started:
+        if self._garbler is None:
             self._handshake()
-            self._started = True
             return
-        can_garble = self._g < len(self._levels)
-        can_eval = self._e < self._g
-        in_flight = self._g - self._e
+        can_garble = self._garbled < self._levels
+        can_eval = self._evaluated < self._garbled
+        in_flight = self._garbled - self._evaluated
         if can_garble and (in_flight < self.max_inflight_levels or not can_eval):
-            self._garble_one()
+            _advance_all(self._garbler)
+            self._garbled += 1
         elif can_eval:
-            self._eval_one()
+            _advance_all(self._evaluator)
+            self._evaluated += 1
+            self._progress = self._evaluator.mark
         else:
             self._finish()
 
-    # -- phases ---------------------------------------------------------
-
     def _handshake(self) -> None:
-        circuit = self.circuit
+        t_start = time.perf_counter()
         session = self.session
-        down, up = self.down, self.up
-        self._t_start = time.perf_counter()
-
-        # -- Alice: draw labels (R + input labels, same PRG order as run)
-        alice = _StreamingGarbler(
-            circuit, session.seed, session.rekeyed, self.resolved
+        common = (self.circuit, session.seed, session.rekeyed, self.resolved)
+        down, up = self.pair.to_evaluator, self.pair.to_garbler
+        self._garbler = _Party(garbler_role(*common, self.garbler_bits, down, up))
+        self._evaluator = _Party(
+            evaluator_role(*common, self.evaluator_bits, down, up, t_start=t_start)
         )
-        self._alice = alice
-
-        # -- OT handshake over the framed wire -------------------------
-        sender = OtSender(LabelPrg(session.seed + 0x0F))
-        down.send_message(
-            "ot_public", sender.public.to_bytes(_POINT_BYTES, "big")
-        )
-        receiver = OtReceiver(
-            LabelPrg(session.seed + 0xB0B),
-            int.from_bytes(down.recv_message("ot_public"), "big"),
-        )
-        points_and_secrets = receiver.choose_batch(self.evaluator_bits)
-        up.send_message(
-            "ot_points",
-            _ints_to_bytes([p for p, _ in points_and_secrets], _POINT_BYTES),
-        )
-        points = _bytes_to_ints(
-            up.recv_message("ot_points"), _POINT_BYTES, "ot_points"
-        )
-        label_pairs = [
-            (alice.input_label(wire, 0), alice.input_label(wire, 1))
-            for wire in circuit.evaluator_input_wires
-        ]
-        cipher_pairs = sender.encrypt_batch(points, label_pairs)
-        down.send_message(
-            "ot_ciphers",
-            _ints_to_bytes(
-                [c for pair_ in cipher_pairs for c in pair_], _LABEL_BYTES
-            ),
-        )
-        alice_labels = [
-            alice.input_label(wire, bit)
-            for wire, bit in zip(circuit.garbler_input_wires, self.garbler_bits)
-        ]
-        down.send_message(
-            "garbler_labels", _ints_to_bytes(alice_labels, _LABEL_BYTES)
-        )
-
-        # -- Bob: recover his labels, set up streaming evaluation ------
-        flat_ciphers = _bytes_to_ints(
-            down.recv_message("ot_ciphers"), _LABEL_BYTES, "ot_ciphers"
-        )
-        bob_cipher_pairs = list(zip(flat_ciphers[0::2], flat_ciphers[1::2]))
-        bob_alice_labels = _bytes_to_ints(
-            down.recv_message("garbler_labels"), _LABEL_BYTES, "garbler_labels"
-        )
-        if len(bob_alice_labels) != circuit.n_garbler_inputs:
-            raise SessionAborted(
-                f"garbler_labels: expected {circuit.n_garbler_inputs} labels, "
-                f"got {len(bob_alice_labels)}"
-            )
-        bob_labels = receiver.decrypt_batch(
-            self.evaluator_bits,
-            [secret for _, secret in points_and_secrets],
-            bob_cipher_pairs,
-        )
-        self._bob = _StreamingEvaluator(
-            circuit, bob_alice_labels + bob_labels, session.rekeyed, self.resolved
-        )
-        self._levels = list(circuit.and_level_schedule())
-
-    def _garble_one(self) -> None:
-        and_positions, free_groups = self._levels[self._g]
-        block = self._alice.garble_phase(and_positions, free_groups)
-        if and_positions:
-            self.down.send_message("tables", block)
-        self._g += 1
-
-    def _eval_one(self) -> None:
-        and_positions, free_groups = self._levels[self._e]
-        if and_positions:
-            block = self.down.recv_message("tables")
-            self._streamed_levels += 1
-        else:
-            block = b""
-        self._bob.eval_phase(and_positions, free_groups, block)
-        self._e += 1
-        if and_positions and self._first_level_s is None:
-            self._first_level_s = time.perf_counter() - self._t_start
+        _advance_all(self._garbler, self._evaluator)
+        self._levels = len(self.circuit.and_level_schedule())
 
     def _finish(self) -> None:
-        circuit = self.circuit
-        down, up = self.down, self.up
-
-        # -- Decode + output sharing -----------------------------------
-        down.send_message("decode", _pack_bits(self._alice.decode_bits()))
-        decode_bits = _unpack_bits(
-            down.recv_message("decode"), len(circuit.outputs), "decode"
-        )
-        output_bits = self._bob.decode(decode_bits)
-        up.send_message("outputs", _pack_bits(output_bits))
-        _unpack_bits(up.recv_message("outputs"), len(circuit.outputs), "outputs")
-
-        # -- Transcript digest exchange (before any result is built):
-        #    each receiver checks the sender's claimed digest against
-        #    what it actually delivered, catching anything that slipped
-        #    past the per-frame CRC (e.g. tampered frames).
-        down.send_message(DIGEST_KIND, down.send_digest())
-        claimed = down.recv_message(DIGEST_KIND)
-        delivered = down.recv_digest()
-        if claimed != delivered:
-            raise TranscriptMismatch(
-                "garbler->evaluator transcript diverged: sender "
-                f"{claimed.hex()[:16]}..., receiver {delivered.hex()[:16]}..."
-            )
-        up.send_message(DIGEST_KIND, up.send_digest())
-        claimed_up = up.recv_message(DIGEST_KIND)
-        if claimed_up != up.recv_digest():
-            raise TranscriptMismatch(
-                "evaluator->garbler transcript diverged: sender "
-                f"{claimed_up.hex()[:16]}..., receiver "
-                f"{up.recv_digest().hex()[:16]}..."
-            )
-
-        TwoPartySession._surface_backend_events(self.resolved, self.log)
-        self.result = SessionResult(
-            output_bits=output_bits,
-            traffic=self.pair.traffic_report(),
-            total_bytes=self.pair.total_bytes,
-            and_gates=sum(
-                1 for gate in circuit.gates if gate.op is GateOp.AND
-            ),
-            hash_calls_evaluator=self._bob.hasher.calls,
-            recovery_events=list(self.log.events),
-            fault_events=(
-                list(self.plan.injected) if self.plan is not None else []
-            ),
-            transcript_digest=delivered.hex(),
-            streamed=True,
-            streamed_levels=self._streamed_levels,
-            first_level_s=self._first_level_s,
+        _advance_all(self._garbler, self._evaluator)
+        self._surface_backend_events()
+        self.result = session_result(
+            self._garbler.report,
+            self._evaluator.report,
+            recovery_events=self.log.events,
+            fault_events=self.plan.injected if self.plan is not None else [],
         )
         self.done = True
+
+    def _surface_backend_events(self) -> None:
+        """Fold silent backend degradations into the recovery ledger."""
+        resolved, log = self.resolved, self.log
+        if resolved is None:
+            return
+        reason = getattr(resolved, "auto_fallback_reason", None)
+        if reason and not log.count("backend", "scalar_fallback"):
+            log.record("backend", "scalar_fallback", reason)
+        pool_reason = getattr(resolved, "pool_disabled_reason", None)
+        if pool_reason and not log.count("pool"):
+            log.record("pool", "pool_disabled", pool_reason)
 
 
 def run_two_party(
@@ -836,17 +848,13 @@ def run_two_party(
     backend: Optional[Union[str, object]] = None,
     faults: Optional[Union[str, FaultPlan]] = None,
     config=None,
-    streamed: bool = False,
 ) -> SessionResult:
     """One-call convenience wrapper around :class:`TwoPartySession`."""
-    session = TwoPartySession(
+    return TwoPartySession(
         circuit,
         seed=seed,
         rekeyed=rekeyed,
         backend=backend,
         faults=faults,
         config=config,
-    )
-    if streamed:
-        return session.run_streamed(garbler_bits, evaluator_bits)
-    return session.run(garbler_bits, evaluator_bits)
+    ).run(garbler_bits, evaluator_bits)

@@ -37,6 +37,7 @@ from ..gc.channel import FramedPair
 from ..gc.protocol import SessionResult, StreamedDriver, TwoPartySession
 
 __all__ = [
+    "Admission",
     "SessionHandle",
     "SessionStats",
     "ServiceStats",
@@ -149,6 +150,64 @@ class ServiceStats:
         }
 
 
+class Admission:
+    """Two-level admission control shared by both session services.
+
+    At most ``max_concurrent`` sessions run and ``max_pending`` wait
+    behind them; :meth:`admit` rejects past both with the typed
+    :class:`ServiceSaturated`, so the caller sheds load instead of the
+    service growing unbounded state.
+    """
+
+    def __init__(self, max_concurrent: int, max_pending: int) -> None:
+        if max_concurrent < 1:
+            raise ValueError("max_concurrent must be >= 1")
+        if max_pending < 0:
+            raise ValueError("max_pending must be >= 0")
+        self.max_concurrent = max_concurrent
+        self.max_pending = max_pending
+        self.rejected = 0
+
+    def admit(
+        self,
+        *,
+        running: int,
+        queued: int,
+        finished: Sequence[SessionStats],
+        retrying: int = 0,
+    ) -> None:
+        """Raise :class:`ServiceSaturated` (counted) when at capacity.
+
+        ``retrying`` counts sessions waiting out a retry backoff; they
+        hold capacity like queued ones.
+        """
+        if running + queued + retrying >= self.max_concurrent + self.max_pending:
+            self.rejected += 1
+            raise ServiceSaturated(
+                f"service saturated: {running} running + {queued} queued "
+                f"against capacity {self.max_concurrent} slots + "
+                f"{self.max_pending} queue",
+                retry_after_hint_s=self.retry_hint_s(queued, finished),
+            )
+
+    def retry_hint_s(
+        self, queued: int, finished: Sequence[SessionStats]
+    ) -> Optional[float]:
+        """Seconds until a rejected caller should retry.
+
+        The p50 ``run_s`` of sessions sealed healthy so far, scaled by
+        queue depth relative to the slot count -- roughly when the next
+        slot should free up.  ``None`` with no completed history (no
+        history, no honest estimate).
+        """
+        p50 = _percentile(
+            [s.run_s for s in finished if s.ok and s.run_s > 0], 50.0
+        )
+        if p50 is None:
+            return None
+        return p50 * (1.0 + queued / self.max_concurrent)
+
+
 class SessionHandle:
     """Caller's view of one admitted session."""
 
@@ -183,20 +242,14 @@ class SessionMultiplexer:
         max_pending: int = 8,
         max_inflight_levels: int = 1,
     ) -> None:
-        if max_concurrent < 1:
-            raise ValueError("max_concurrent must be >= 1")
-        if max_pending < 0:
-            raise ValueError("max_pending must be >= 0")
         if max_inflight_levels < 1:
             raise ValueError("max_inflight_levels must be >= 1")
-        self.max_concurrent = max_concurrent
-        self.max_pending = max_pending
+        self._admission = Admission(max_concurrent, max_pending)
         self.max_inflight_levels = max_inflight_levels
         self._pending: Deque[SessionHandle] = deque()
         self._active: List[SessionHandle] = []
         self._finished: List[SessionHandle] = []
         self._admitted = 0
-        self._rejected = 0
 
     # -- admission -----------------------------------------------------
 
@@ -218,20 +271,13 @@ class SessionMultiplexer:
         session's own fault spec.
 
         When saturated, the raised :class:`ServiceSaturated` carries
-        ``retry_after_hint_s``: the p50 session time observed so far,
-        scaled by how deep the pending queue is -- roughly when the
-        next slot should free up.  It is ``None`` until at least one
-        session has completed (no history, no honest estimate).
+        ``retry_after_hint_s`` (:meth:`Admission.retry_hint_s`).
         """
-        outstanding = len(self._active) + len(self._pending)
-        if outstanding >= self.max_concurrent + self.max_pending:
-            self._rejected += 1
-            raise ServiceSaturated(
-                f"service saturated: {len(self._active)} running + "
-                f"{len(self._pending)} queued against capacity "
-                f"{self.max_concurrent} slots + {self.max_pending} queue",
-                retry_after_hint_s=self.saturation_hint_s(),
-            )
+        self._admission.admit(
+            running=len(self._active),
+            queued=len(self._pending),
+            finished=[h.stats for h in self._finished],
+        )
         window = (
             self.max_inflight_levels
             if max_inflight_levels is None
@@ -250,26 +296,18 @@ class SessionMultiplexer:
         return handle
 
     def saturation_hint_s(self) -> Optional[float]:
-        """Estimated seconds until a rejected caller should retry.
-
-        Derived from the p50 ``run_s`` of sessions sealed healthy so
-        far, scaled by current queue depth relative to the slot count;
-        ``None`` with no completed history.
-        """
-        runs = [
-            h.stats.run_s
-            for h in self._finished
-            if h.stats.ok and h.stats.run_s > 0
-        ]
-        p50 = _percentile(runs, 50.0)
-        if p50 is None:
-            return None
-        return p50 * (1.0 + len(self._pending) / self.max_concurrent)
+        """Estimated seconds until a rejected caller should retry."""
+        return self._admission.retry_hint_s(
+            len(self._pending), [h.stats for h in self._finished]
+        )
 
     # -- scheduling ----------------------------------------------------
 
     def _promote(self) -> None:
-        while self._pending and len(self._active) < self.max_concurrent:
+        while (
+            self._pending
+            and len(self._active) < self._admission.max_concurrent
+        ):
             handle = self._pending.popleft()
             handle._started = time.perf_counter()
             handle.stats.queue_wait_s = handle._started - handle._submitted
@@ -335,7 +373,7 @@ class SessionMultiplexer:
     def service_stats(self, wall_s: float = 0.0) -> ServiceStats:
         return ServiceStats(
             sessions=[h.stats for h in self._finished],
-            rejected=self._rejected,
+            rejected=self._admission.rejected,
             wall_s=wall_s,
         )
 

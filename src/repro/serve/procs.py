@@ -1,8 +1,8 @@
-"""Out-of-process party workers for the streamed two-party protocol.
+"""Out-of-process party workers for the two-party protocol.
 
-Each party of a streamed session runs in its own OS process: the
-garbler garbles AND level ``L+1`` while the evaluator is still hashing
-level ``L`` -- the true two-party parallelism the paper's accelerator
+Each party of a session runs in its own OS process: the garbler
+garbles AND level ``L+1`` while the evaluator is still hashing level
+``L`` -- the true two-party parallelism the paper's accelerator
 argument assumes, instead of the single cooperative loop the in-process
 multiplexer interleaves.
 
@@ -18,16 +18,17 @@ The pieces here are the *worker side* of the supervision tree
   :class:`~repro.faults.FrameTimeout` -- it never returns ``None``, so
   the :class:`~repro.gc.channel.FramedChannel` retransmit path (which
   only works when sender and receiver share one object) is never taken.
-* :func:`run_garbler_party` / :func:`run_evaluator_party` -- the two
-  halves of :class:`~repro.gc.protocol.StreamedDriver`'s fused drive,
-  split along the wire.  Per-direction message order is identical to
-  the in-process streamed drive, so outputs *and* transcript digests
-  are bit-identical to a solo ``run_streamed``.
 * :func:`party_process_main` -- the ``multiprocessing`` entry point:
   closes inherited peer descriptors, starts the heartbeat thread, runs
-  the party, and reports ``("result" | "error", ...)`` on the control
-  pipe.  A worker that dies without reporting is the supervisor's
-  problem (process sentinel -> :class:`~repro.faults.WorkerCrashed`).
+  one role of :mod:`repro.gc.protocol` -- the same
+  :func:`~repro.gc.protocol.garbler_role` or
+  :func:`~repro.gc.protocol.evaluator_role` code the in-process
+  :class:`~repro.gc.protocol.StreamedDriver` runs, so outputs *and*
+  transcript digests are bit-identical to it -- and reports
+  ``("result", role, report, recovered)`` or
+  ``("error", role, type, detail)`` on the control pipe.  A worker that
+  dies without reporting is the supervisor's problem (process sentinel
+  -> :class:`~repro.faults.WorkerCrashed`).
 * :class:`ChaosDirective` -- the mechanical execution of a
   supervisor-drawn process fault (``kill_party`` / ``sever`` /
   ``stall``) at a deterministic AND-level trigger.
@@ -42,7 +43,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..faults import (
     FrameTimeout,
@@ -50,19 +51,8 @@ from ..faults import (
     ProtocolFault,
     RecoveryLog,
 )
-from ..gc.channel import DIGEST_KIND, FramedChannel
-from ..gc.ot import OtReceiver, OtSender
-from ..gc.protocol import (
-    _LABEL_BYTES,
-    _POINT_BYTES,
-    _StreamingEvaluator,
-    _StreamingGarbler,
-    _bytes_to_ints,
-    _ints_to_bytes,
-    _pack_bits,
-    _unpack_bits,
-)
-from ..gc.rng import LabelPrg
+from ..gc.channel import FramedChannel
+from ..gc.protocol import Level, evaluator_role, garbler_role
 from .sockets import _PEER_GONE_ERRNOS
 
 __all__ = [
@@ -72,8 +62,6 @@ __all__ = [
     "PeerSocketWire",
     "ChaosDirective",
     "make_party_channels",
-    "run_garbler_party",
-    "run_evaluator_party",
     "party_process_main",
 ]
 
@@ -299,184 +287,20 @@ class _Progress:
         self.value += 1
 
 
-# --------------------------------------------------------------------------
-# Party drive loops
-# --------------------------------------------------------------------------
+def _drive_role(role, sock: socket.socket, progress: _Progress, chaos):
+    """Run one role over its blocking wire; returns its report.
 
-
-def run_garbler_party(
-    circuit,
-    seed: int,
-    rekeyed: bool,
-    backend,
-    garbler_bits: List[int],
-    down: FramedChannel,
-    up: FramedChannel,
-    sock: socket.socket,
-    progress: _Progress,
-    chaos,
-    log: RecoveryLog,
-) -> Dict[str, object]:
-    """Alice's half of the streamed session (send tables, verify up)."""
-    from ..faults import TranscriptMismatch
-
-    alice = _StreamingGarbler(circuit, seed, rekeyed, backend)
-    sender = OtSender(LabelPrg(seed + 0x0F))
-    down.send_message("ot_public", sender.public.to_bytes(_POINT_BYTES, "big"))
-    points = _bytes_to_ints(
-        up.recv_message("ot_points"), _POINT_BYTES, "ot_points"
-    )
-    label_pairs = [
-        (alice.input_label(wire, 0), alice.input_label(wire, 1))
-        for wire in circuit.evaluator_input_wires
-    ]
-    cipher_pairs = sender.encrypt_batch(points, label_pairs)
-    down.send_message(
-        "ot_ciphers",
-        _ints_to_bytes(
-            [c for pair in cipher_pairs for c in pair], _LABEL_BYTES
-        ),
-    )
-    alice_labels = [
-        alice.input_label(wire, bit)
-        for wire, bit in zip(circuit.garbler_input_wires, garbler_bits)
-    ]
-    down.send_message(
-        "garbler_labels", _ints_to_bytes(alice_labels, _LABEL_BYTES)
-    )
-
-    levels = list(circuit.and_level_schedule())
-    for index, (and_positions, free_groups) in enumerate(levels):
-        block = alice.garble_phase(and_positions, free_groups)
-        if and_positions:
-            down.send_message("tables", block)
-        progress.bump()
-        chaos.maybe_fire(index, sock)
-
-    down.send_message("decode", _pack_bits(alice.decode_bits()))
-    output_bits = _unpack_bits(
-        up.recv_message("outputs"), len(circuit.outputs), "outputs"
-    )
-
-    # Transcript digest exchange: claim the down digest, verify the up
-    # one against what this side actually delivered.
-    down.send_message(DIGEST_KIND, down.send_digest())
-    claimed_up = up.recv_message(DIGEST_KIND)
-    if claimed_up != up.recv_digest():
-        raise TranscriptMismatch(
-            "evaluator->garbler transcript diverged: sender "
-            f"{claimed_up.hex()[:16]}..., receiver "
-            f"{up.recv_digest().hex()[:16]}..."
-        )
-
-    return {
-        "role": GARBLER,
-        "output_bits": output_bits,
-        "send_digest": down.send_digest().hex(),
-        "sent_bytes": dict(down.bytes_by_class),
-        "levels": len(levels),
-        "recovered": log.signature(),
-    }
-
-
-def run_evaluator_party(
-    circuit,
-    seed: int,
-    rekeyed: bool,
-    backend,
-    evaluator_bits: List[int],
-    down: FramedChannel,
-    up: FramedChannel,
-    sock: socket.socket,
-    progress: _Progress,
-    chaos,
-    log: RecoveryLog,
-) -> Dict[str, object]:
-    """Bob's half of the streamed session (evaluate level by level)."""
-    from ..faults import SessionAborted, TranscriptMismatch
-
-    t_start = time.perf_counter()
-    receiver = OtReceiver(
-        LabelPrg(seed + 0xB0B),
-        int.from_bytes(down.recv_message("ot_public"), "big"),
-    )
-    points_and_secrets = receiver.choose_batch(evaluator_bits)
-    up.send_message(
-        "ot_points",
-        _ints_to_bytes([p for p, _ in points_and_secrets], _POINT_BYTES),
-    )
-    flat_ciphers = _bytes_to_ints(
-        down.recv_message("ot_ciphers"), _LABEL_BYTES, "ot_ciphers"
-    )
-    cipher_pairs = list(zip(flat_ciphers[0::2], flat_ciphers[1::2]))
-    alice_labels = _bytes_to_ints(
-        down.recv_message("garbler_labels"), _LABEL_BYTES, "garbler_labels"
-    )
-    if len(alice_labels) != circuit.n_garbler_inputs:
-        raise SessionAborted(
-            f"garbler_labels: expected {circuit.n_garbler_inputs} labels, "
-            f"got {len(alice_labels)}"
-        )
-    bob_labels = receiver.decrypt_batch(
-        evaluator_bits,
-        [secret for _, secret in points_and_secrets],
-        cipher_pairs,
-    )
-    bob = _StreamingEvaluator(
-        circuit, alice_labels + bob_labels, rekeyed, backend
-    )
-
-    levels = list(circuit.and_level_schedule())
-    streamed_levels = 0
-    first_level_s: Optional[float] = None
-    for index, (and_positions, free_groups) in enumerate(levels):
-        if and_positions:
-            block = down.recv_message("tables")
-            streamed_levels += 1
-        else:
-            block = b""
-        bob.eval_phase(and_positions, free_groups, block)
-        if and_positions and first_level_s is None:
-            first_level_s = time.perf_counter() - t_start
-        progress.bump()
-        chaos.maybe_fire(index, sock)
-
-    decode_bits = _unpack_bits(
-        down.recv_message("decode"), len(circuit.outputs), "decode"
-    )
-    output_bits = bob.decode(decode_bits)
-    up.send_message("outputs", _pack_bits(output_bits))
-
-    claimed = down.recv_message(DIGEST_KIND)
-    delivered = down.recv_digest()
-    if claimed != delivered:
-        raise TranscriptMismatch(
-            "garbler->evaluator transcript diverged: sender "
-            f"{claimed.hex()[:16]}..., receiver {delivered.hex()[:16]}..."
-        )
-    up.send_message(DIGEST_KIND, up.send_digest())
-
-    from ..circuits.netlist import GateOp
-
-    return {
-        "role": EVALUATOR,
-        "output_bits": output_bits,
-        "transcript_digest": delivered.hex(),
-        "sent_bytes": dict(up.bytes_by_class),
-        "streamed_levels": streamed_levels,
-        "first_level_s": first_level_s,
-        "levels": len(levels),
-        "and_gates": sum(
-            1 for gate in circuit.gates if gate.op is GateOp.AND
-        ),
-        "hash_calls": bob.hasher.calls,
-        "recovered": log.signature(),
-    }
-
-
-# --------------------------------------------------------------------------
-# Process entry point
-# --------------------------------------------------------------------------
+    Receives simply block, so only the level markers need handling:
+    each bumps the heartbeat progress and may fire the chaos directive.
+    """
+    while True:
+        try:
+            pause = next(role)
+        except StopIteration as stop:
+            return stop.value
+        if isinstance(pause, Level):
+            progress.bump()
+            chaos.maybe_fire(pause.index, sock)
 
 
 def _heartbeat_loop(conn, lock, role, progress, interval, stop) -> None:
@@ -532,23 +356,24 @@ def party_process_main(role, payload, sock, conn, close_first) -> None:
 
         backend = resolve_backend(payload["backend"])
 
-    run_party = run_garbler_party if role == GARBLER else run_evaluator_party
+    role_fn = garbler_role if role == GARBLER else evaluator_role
     try:
-        report = run_party(
-            payload["circuit"],
-            payload["seed"],
-            payload["rekeyed"],
-            backend,
-            payload["bits"],
-            down,
-            up,
+        report = _drive_role(
+            role_fn(
+                payload["circuit"],
+                payload["seed"],
+                payload["rekeyed"],
+                backend,
+                payload["bits"],
+                down,
+                up,
+            ),
             sock,
             progress,
             chaos,
-            log,
         )
         with lock:
-            conn.send(("result", role, report))
+            conn.send(("result", role, report, log.signature()))
     except ProtocolFault as exc:
         try:
             with lock:

@@ -50,6 +50,7 @@ from ..faults import (
     FaultPlan,
     PROCESS_CHAOS,
     ProtocolFault,
+    RecoveryEvent,
     ServiceSaturated,
     SessionAborted,
     SessionDeadlineExceeded,
@@ -57,8 +58,8 @@ from ..faults import (
     WorkerCrashed,
     resolve_fault_plan,
 )
-from ..gc.protocol import SessionResult
-from .mux import ServiceStats, SessionStats, _percentile
+from ..gc.protocol import RoleReport, SessionResult, session_result
+from .mux import Admission, ServiceStats, SessionStats
 from .procs import EVALUATOR, GARBLER, ROLES, party_process_main
 
 __all__ = [
@@ -197,7 +198,8 @@ class SupervisedSession:
         # Per-attempt process state (populated by the supervisor).
         self.procs: Dict[str, object] = {}
         self.conns: Dict[str, object] = {}
-        self.reports: Dict[str, Dict[str, object]] = {}
+        # role -> (RoleReport, its worker's recovery signature)
+        self.reports: Dict[str, Tuple[RoleReport, list]] = {}
         self.errors: Dict[str, Tuple[str, str]] = {}
         self.last_msg: Dict[str, float] = {}
         self.deadline_at: Optional[float] = None
@@ -237,14 +239,9 @@ class Supervisor:
         log: Optional[SupervisorLog] = None,
         mp_start_method: Optional[str] = None,
     ) -> None:
-        if max_concurrent < 1:
-            raise ValueError("max_concurrent must be >= 1")
-        if max_pending < 0:
-            raise ValueError("max_pending must be >= 0")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        self.max_concurrent = max_concurrent
-        self.max_pending = max_pending
+        self._admission = Admission(max_concurrent, max_pending)
         self.deadline_s = deadline_s
         self.retries = retries
         self.backoff_base_s = backoff_base_s
@@ -267,7 +264,6 @@ class Supervisor:
         self._backoff: List[SupervisedSession] = []
         self._finished: List[SupervisedSession] = []
         self._admitted = 0
-        self._rejected = 0
         self._retries = 0
         self._worker_restarts = 0
         # Drain state (flag set by request_drain, possibly from a
@@ -288,21 +284,16 @@ class Supervisor:
         supervisor rejects everything.
         """
         if self._draining:
-            self._rejected += 1
+            self._admission.rejected += 1
             raise ServiceSaturated(
                 "supervisor is draining: admissions are closed"
             )
-        outstanding = (
-            len(self._pending) + len(self._running) + len(self._backoff)
+        self._admission.admit(
+            running=len(self._running),
+            queued=len(self._pending),
+            finished=[s.stats for s in self._finished],
+            retrying=len(self._backoff),
         )
-        if outstanding >= self.max_concurrent + self.max_pending:
-            self._rejected += 1
-            raise ServiceSaturated(
-                f"service saturated: {len(self._running)} running + "
-                f"{len(self._pending)} queued against capacity "
-                f"{self.max_concurrent} slots + {self.max_pending} queue",
-                retry_after_hint_s=self.saturation_hint_s(),
-            )
         self._admitted += 1
         sess = SupervisedSession(spec, spec.session_id or f"p{self._admitted}")
         self._pending.append(sess)
@@ -310,15 +301,9 @@ class Supervisor:
         return sess
 
     def saturation_hint_s(self) -> Optional[float]:
-        runs = [
-            s.stats.run_s
-            for s in self._finished
-            if s.stats.ok and s.stats.run_s > 0
-        ]
-        p50 = _percentile(runs, 50.0)
-        if p50 is None:
-            return None
-        return p50 * (1.0 + len(self._pending) / self.max_concurrent)
+        return self._admission.retry_hint_s(
+            len(self._pending), [s.stats for s in self._finished]
+        )
 
     def request_drain(self) -> None:
         """Stop admissions and promotions; let in-flight work finish.
@@ -398,7 +383,7 @@ class Supervisor:
             }
         return ServiceStats(
             sessions=[s.stats for s in self._finished],
-            rejected=self._rejected,
+            rejected=self._admission.rejected,
             wall_s=wall_s,
             retries=self._retries,
             worker_restarts=self._worker_restarts,
@@ -426,13 +411,12 @@ class Supervisor:
                         "drained before it started"
                     ),
                 )
-        while (
-            self._pending and len(self._running) < self.max_concurrent
-        ):
+        max_concurrent = self._admission.max_concurrent
+        while self._pending and len(self._running) < max_concurrent:
             sess = self._pending.popleft()
             self._launch(sess, now)
         for sess in list(self._backoff):
-            if len(self._running) >= self.max_concurrent:
+            if len(self._running) >= max_concurrent:
                 break
             if now >= sess.next_eligible:
                 self._backoff.remove(sess)
@@ -562,7 +546,7 @@ class Supervisor:
                 if tag == "hb":
                     continue
                 if tag == "result":
-                    sess.reports[role] = msg[2]
+                    sess.reports[role] = msg[2:]
                 elif tag == "error":
                     sess.errors[role] = (msg[2], msg[3])
                     self.log.record(
@@ -658,7 +642,7 @@ class Supervisor:
                 break
             tag = msg[0]
             if tag == "result":
-                sess.reports[role] = msg[2]
+                sess.reports[role] = msg[2:]
                 got = True
             elif tag == "error":
                 sess.errors[role] = (msg[2], msg[3])
@@ -680,67 +664,42 @@ class Supervisor:
         self, sess: SupervisedSession, now: float
     ) -> None:
         self._kill_attempt(sess)  # reap (workers already exited cleanly)
-        g = sess.reports[GARBLER]
-        e = sess.reports[EVALUATOR]
-        digest = e["transcript_digest"]
-        fail: Optional[ProtocolFault] = None
-        if g["output_bits"] != e["output_bits"]:
-            fail = TranscriptMismatch(
-                f"session {sess.session_id}: parties decoded different "
-                "output bits"
-            )
-        elif (
-            sess.spec.reference_digest is not None
-            and digest != sess.spec.reference_digest
-        ):
-            fail = TranscriptMismatch(
-                f"session {sess.session_id}: transcript digest "
-                f"{digest[:16]}... does not match the fault-free "
-                f"reference {sess.spec.reference_digest[:16]}..."
-            )
-        if fail is not None:
-            self._fail_attempt(sess, fail, now)
-            return
-
-        traffic: Dict[str, int] = {}
-        for direction, report in (
-            ("garbler->evaluator", g),
-            ("evaluator->garbler", e),
-        ):
-            for kind, size in report["sent_bytes"].items():
-                traffic[f"{direction}:{kind}"] = size
-        from ..faults import RecoveryEvent
-
+        garbler, garbler_recovered = sess.reports[GARBLER]
+        evaluator, evaluator_recovered = sess.reports[EVALUATOR]
+        # Each worker kept its own ledger; number the merged events anew.
         recovery = [
             RecoveryEvent(seq=seq, layer=layer, kind=kind, detail=detail)
             for seq, (layer, kind, detail) in enumerate(
-                tuple(item) for item in (g["recovered"] + e["recovered"])
+                garbler_recovered + evaluator_recovered
             )
         ]
-        sess.result = SessionResult(
-            output_bits=list(e["output_bits"]),
-            traffic=traffic,
-            total_bytes=sum(traffic.values()),
-            and_gates=e["and_gates"],
-            hash_calls_evaluator=e["hash_calls"],
-            recovery_events=recovery,
-            fault_events=(
-                list(sess.plan.injected) if sess.plan is not None else []
-            ),
-            transcript_digest=digest,
-            streamed=True,
-            streamed_levels=e["streamed_levels"],
-            first_level_s=e["first_level_s"],
-        )
+        reference = sess.spec.reference_digest
+        try:
+            result = session_result(
+                garbler,
+                evaluator,
+                recovery_events=recovery,
+                fault_events=sess.plan.injected if sess.plan is not None else [],
+            )
+            if reference is not None and result.transcript_digest != reference:
+                raise TranscriptMismatch(
+                    f"transcript digest {result.transcript_digest[:16]}... "
+                    f"does not match the fault-free reference "
+                    f"{reference[:16]}..."
+                )
+        except TranscriptMismatch as exc:
+            self._fail_attempt(
+                sess, TranscriptMismatch(f"session {sess.session_id}: {exc}"), now
+            )
+            return
+        sess.result = result
         stats = sess.stats
         stats.run_s = now - sess._first_started
-        stats.first_level_s = e["first_level_s"]
-        stats.streamed_levels = e["streamed_levels"]
-        stats.steps = e["levels"]
-        stats.recovery_events = len(recovery)
-        stats.fault_events = (
-            len(sess.plan.injected) if sess.plan is not None else 0
-        )
+        stats.first_level_s = result.first_level_s
+        stats.streamed_levels = result.streamed_levels
+        stats.steps = evaluator.levels
+        stats.recovery_events = len(result.recovery_events)
+        stats.fault_events = len(result.fault_events)
         if stats.run_s > 0 and stats.streamed_levels:
             stats.levels_per_s = stats.streamed_levels / stats.run_s
         self._finished.append(sess)

@@ -14,6 +14,8 @@ because "terminates" is part of the contract being verified.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import warnings
 
 import pytest
@@ -28,7 +30,7 @@ from repro.faults import (
     install,
     parse_fault_spec,
 )
-from repro.gc.protocol import run_two_party
+from repro.gc.protocol import StreamedDriver, TwoPartySession, run_two_party
 
 pytestmark = [pytest.mark.chaos, pytest.mark.timeout(120)]
 
@@ -57,14 +59,14 @@ def _bits(circuit):
 
 def _baseline(circuit):
     g, e = _bits(circuit)
-    return run_two_party(circuit, g, e, streamed=True)
+    return run_two_party(circuit, g, e)
 
 
 def _chaos_run(circuit, spec):
     """One fault-injected streamed session; returns (result, error)."""
     g, e = _bits(circuit)
     try:
-        return run_two_party(circuit, g, e, faults=spec, streamed=True), None
+        return run_two_party(circuit, g, e, faults=spec), None
     except ProtocolFault as exc:
         return None, exc
 
@@ -84,9 +86,8 @@ class TestChaosMatrix:
             return
         assert result.output_bits == clean.output_bits
         assert result.transcript_digest == clean.transcript_digest
-        # Monolithic and streamed agree, so chaos agreed with both.
         g, e = _bits(circuit)
-        assert result.output_bits == run_two_party(circuit, g, e).output_bits
+        assert result.output_bits == circuit.eval_plain(g, e)
 
     @pytest.mark.parametrize("fixture", _CIRCUITS)
     def test_combined_faults(self, request, fixture):
@@ -117,7 +118,7 @@ class TestChaosMatrix:
             plan = parse_fault_spec(spec)
             try:
                 result = run_two_party(
-                    mixed_circuit, g, e, faults=plan, streamed=True
+                    mixed_circuit, g, e, faults=plan
                 )
             except ProtocolFault as exc:
                 fault_sig = [(ev.site, ev.kind) for ev in plan.injected]
@@ -148,12 +149,60 @@ class TestChaosMatrix:
                     g,
                     e,
                     faults=f"drop:0.05,duplicate:0.2,seed={seed}",
-                    streamed=True,
                 )
                 signatures.append([(f.site, f.kind) for f in result.fault_events])
             except ProtocolFault:
                 signatures.append(("fault", seed))
         assert signatures[0] != signatures[1]
+
+
+#: (spec, window) -> (error, injected faults, digest of their (site,
+#: kind) signature, recovery events, digest of their (layer, kind,
+#: detail) signature) for mixed8 at seed 7 over 64-byte chunks; window
+#: ``None`` is unbounded (every level garbled before any is evaluated).
+#: All frame faults of a plan draw from one RNG at push time, so these
+#: pin the global order of the two parties' channel operations.
+_GOLDEN_FAULT_SCHEDULES = {
+    ("drop:0.1,seed=13", 1): ("FrameTimeout", 11, "68f8d537866ed88a", 10, "e07de49fc3c2a36f"),
+    ("drop:0.1,seed=13", None): (None, 20, "ad4e909797b088d5", 20, "947a736687483843"),
+    ("tamper:0.05,seed=13", 1): ("TranscriptMismatch", 1, "562b10154d2bebd1", 0, "4f53cda18c2baa0c"),
+    ("tamper:0.05,seed=13", None): ("TranscriptMismatch", 1, "562b10154d2bebd1", 0, "4f53cda18c2baa0c"),
+    ("delay:0.3,seed=13", 1): (None, 27, "28860020da4d07e1", 0, "4f53cda18c2baa0c"),
+    ("delay:0.3,seed=13", None): (None, 27, "28860020da4d07e1", 0, "4f53cda18c2baa0c"),
+    ("reorder:0.3,seed=13", 1): (None, 23, "9c24c5aeea8bcce4", 0, "4f53cda18c2baa0c"),
+    ("reorder:0.3,seed=13", None): (None, 23, "9c24c5aeea8bcce4", 0, "4f53cda18c2baa0c"),
+    ("drop:0.05,delay:0.2,reorder:0.2,duplicate:0.2,seed=99", 1): (None, 54, "d9307f878b5a8942", 22, "fcfc616f8f56f42d"),
+    ("drop:0.05,delay:0.2,reorder:0.2,duplicate:0.2,seed=99", None): (None, 54, "f9937f1027ca32d9", 22, "c07986f37d7a9a19"),
+}
+
+
+class TestGoldenFaultSchedules:
+    @pytest.mark.parametrize("spec, window", list(_GOLDEN_FAULT_SCHEDULES))
+    def test_same_faults_and_recoveries(self, mixed_circuit, spec, window):
+        g, e = _bits(mixed_circuit)
+        levels = len(mixed_circuit.and_level_schedule())
+        driver = StreamedDriver(
+            TwoPartySession(
+                mixed_circuit, seed=7, faults=parse_fault_spec(spec),
+                chunk_bytes=64,
+            ),
+            g, e, max_inflight_levels=window or levels,
+        )
+        error = None
+        while not driver.done:
+            try:
+                driver.step()
+            except ProtocolFault as exc:
+                error = type(exc).__name__
+        faults = [[event.site, event.kind] for event in driver.plan.injected]
+        recovery = [list(event) for event in driver.log.signature()]
+
+        def digest(items):
+            return hashlib.sha256(json.dumps(items).encode()).hexdigest()[:16]
+
+        assert (
+            error, len(faults), digest(faults), len(recovery), digest(recovery)
+        ) == _GOLDEN_FAULT_SCHEDULES[(spec, window)]
 
 
 class TestProcessChaos:
@@ -165,7 +214,7 @@ class TestProcessChaos:
         parallel = pytest.importorskip("repro.gc.backends.parallel")
         backend = parallel.ParallelLabelHashBackend(workers=2, min_batch=1)
         g, e = _bits(adder_circuit)
-        clean = run_two_party(adder_circuit, g, e, streamed=True)
+        clean = run_two_party(adder_circuit, g, e)
         with warnings.catch_warnings():
             # Whether the kill ends in pool rebuilds or a permanent
             # serial fallback (with its RuntimeWarning) depends on when
@@ -178,7 +227,6 @@ class TestProcessChaos:
                 e,
                 backend=backend,
                 faults="kill_worker:1.0,seed=5",
-                streamed=True,
             )
         assert result.output_bits == clean.output_bits
         assert result.transcript_digest == clean.transcript_digest

@@ -6,7 +6,7 @@ import pytest
 
 from repro.circuits.builder import CircuitBuilder
 from repro.circuits.stdlib.integer import less_than
-from repro.gc.channel import Channel, make_channel_pair
+from repro.gc.channel import FRAME_OVERHEAD
 from repro.gc.ot import OtReceiver, OtSender, run_ot, run_ot_batch
 from repro.gc.protocol import run_two_party
 from repro.gc.rng import LabelPrg
@@ -159,35 +159,6 @@ class TestBatchedReceiver:
         )
 
 
-class TestChannel:
-    def test_fifo_and_accounting(self):
-        channel = Channel("test")
-        channel.send("tables", [1, 2], 64)
-        channel.send("labels", [3], 16)
-        assert channel.total_bytes == 80
-        assert channel.recv("tables") == [1, 2]
-        assert channel.recv("labels") == [3]
-
-    def test_kind_mismatch(self):
-        channel = Channel("test")
-        channel.send("tables", [], 0)
-        with pytest.raises(RuntimeError):
-            channel.recv("labels")
-
-    def test_empty_recv(self):
-        with pytest.raises(RuntimeError):
-            Channel("test").recv("anything")
-
-    def test_pair_report(self):
-        pair = make_channel_pair()
-        pair.to_evaluator.send("tables", [], 320)
-        pair.to_garbler.send("outputs", [], 4)
-        report = pair.traffic_report()
-        assert report["garbler->evaluator:tables"] == 320
-        assert report["evaluator->garbler:outputs"] == 4
-        assert pair.total_bytes == 324
-
-
 class TestTwoPartySession:
     def _millionaires(self, width=8):
         builder = CircuitBuilder()
@@ -221,7 +192,16 @@ class TestTwoPartySession:
             [0] * mixed_circuit.n_evaluator_inputs,
             seed=4,
         )
-        assert result.traffic["garbler->evaluator:tables"] == 32 * result.and_gates
+        # One 32-byte table per AND gate, framed per AND level in
+        # 4096-byte chunks that each carry a header, the kind and a CRC.
+        frames = sum(
+            -(-32 * len(ands) // 4096)
+            for ands, _ in mixed_circuit.and_level_schedule()
+            if ands
+        )
+        assert result.traffic["garbler->evaluator:tables"] == (
+            32 * result.and_gates + frames * (FRAME_OVERHEAD + len("tables"))
+        )
         assert result.total_bytes > 32 * result.and_gates
 
     def test_wrong_input_count(self, tiny_circuit):

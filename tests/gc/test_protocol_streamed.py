@@ -1,4 +1,4 @@
-"""Level-streamed session: equivalence, edge cases, degradation ledger."""
+"""Two-party session: correctness, edge cases, degradation ledger."""
 
 from __future__ import annotations
 
@@ -6,7 +6,9 @@ import pytest
 
 from repro.circuits.netlist import Circuit, Gate, GateOp
 from repro.gc.backends import get_backend
-from repro.gc.protocol import TwoPartySession, run_two_party
+from repro.gc.channel import make_framed_pair
+from repro.gc.garble import garble_circuit
+from repro.gc.protocol import StreamedDriver, TwoPartySession, run_two_party
 from repro.sim.config import HaacConfig
 
 
@@ -19,22 +21,22 @@ def _bits(circuit):
 class TestStreamedEquivalence:
     @pytest.mark.parametrize("fixture", ["tiny_circuit", "adder_circuit", "mixed_circuit"])
     @pytest.mark.parametrize("backend", [None, "auto"])
-    def test_matches_monolithic(self, request, fixture, backend):
+    def test_matches_plain_eval(self, request, fixture, backend):
         circuit = request.getfixturevalue(fixture)
         g, e = _bits(circuit)
-        mono = run_two_party(circuit, g, e, backend=backend)
-        streamed = run_two_party(circuit, g, e, backend=backend, streamed=True)
-        assert streamed.output_bits == mono.output_bits
-        assert streamed.and_gates == mono.and_gates
-        assert streamed.hash_calls_evaluator == mono.hash_calls_evaluator
-        assert streamed.streamed
-        assert streamed.transcript_digest
-        assert streamed.recovery_events == []
-        assert streamed.fault_events == []
+        result = run_two_party(circuit, g, e, backend=backend)
+        and_gates = sum(1 for gate in circuit.gates if gate.op is GateOp.AND)
+        assert result.output_bits == circuit.eval_plain(g, e)
+        assert result.and_gates == and_gates
+        # The Half-Gate evaluator hashes each AND gate's two input labels.
+        assert result.hash_calls_evaluator == 2 * and_gates
+        assert result.transcript_digest
+        assert result.recovery_events == []
+        assert result.fault_events == []
 
     def test_streams_one_block_per_and_level(self, mixed_circuit):
         g, e = _bits(mixed_circuit)
-        result = run_two_party(mixed_circuit, g, e, streamed=True)
+        result = run_two_party(mixed_circuit, g, e)
         and_levels = sum(
             1
             for and_positions, _ in mixed_circuit.and_level_schedule()
@@ -45,32 +47,70 @@ class TestStreamedEquivalence:
 
     def test_backend_choice_is_transcript_invariant(self, adder_circuit):
         g, e = _bits(adder_circuit)
-        reference = run_two_party(adder_circuit, g, e, streamed=True)
-        batched = run_two_party(
-            adder_circuit, g, e, backend="auto", streamed=True
-        )
+        reference = run_two_party(adder_circuit, g, e)
+        batched = run_two_party(adder_circuit, g, e, backend="auto")
         assert batched.output_bits == reference.output_bits
         assert batched.transcript_digest == reference.transcript_digest
 
     def test_exhaustive_tiny(self, tiny_circuit):
         for a in (0, 1):
             for b in (0, 1):
-                mono = run_two_party(tiny_circuit, [a], [b])
-                streamed = run_two_party(tiny_circuit, [a], [b], streamed=True)
-                assert streamed.output_bits == mono.output_bits
-                assert streamed.output_bits == [(a & b) ^ (1 - a)]
+                result = run_two_party(tiny_circuit, [a], [b])
+                assert result.output_bits == [(a & b) ^ (1 - a)]
 
     def test_seed_changes_digest_not_outputs(self, adder_circuit):
         g, e = _bits(adder_circuit)
-        one = run_two_party(adder_circuit, g, e, seed=1, streamed=True)
-        two = run_two_party(adder_circuit, g, e, seed=2, streamed=True)
+        one = run_two_party(adder_circuit, g, e, seed=1)
+        two = run_two_party(adder_circuit, g, e, seed=2)
         assert one.output_bits == two.output_bits
         assert one.transcript_digest != two.transcript_digest
 
 
+class TestGarblerRoleMatchesAuditedGarbler:
+    @pytest.mark.parametrize("fixture", ["tiny_circuit", "adder_circuit", "mixed_circuit"])
+    @pytest.mark.parametrize("backend", [None, "auto"])
+    def test_tables_and_decode_bits(self, request, fixture, backend):
+        """The garbler role ships exactly the audited garble_circuit's
+        tables, reordered by the AND-level schedule, and decode bits."""
+        circuit = request.getfixturevalue(fixture)
+        g, e = _bits(circuit)
+        pair = make_framed_pair()
+        sent = []
+        send = pair.to_evaluator.send_message
+
+        def recording_send(kind, payload):
+            sent.append((kind, payload))
+            send(kind, payload)
+
+        pair.to_evaluator.send_message = recording_send
+        driver = StreamedDriver(
+            TwoPartySession(circuit, seed=5, backend=backend), g, e, pair=pair
+        )
+        while not driver.done:
+            driver.step()
+
+        reference = garble_circuit(circuit, seed=5).garbled
+        and_index = {
+            position: index
+            for index, position in enumerate(
+                p for p, gate in enumerate(circuit.gates) if gate.op is GateOp.AND
+            )
+        }
+        expected_blocks = [
+            b"".join(reference.tables[and_index[p]].to_bytes() for p in ands)
+            for ands, _ in circuit.and_level_schedule()
+            if ands
+        ]
+        assert [p for kind, p in sent if kind == "tables"] == expected_blocks
+        (decode,) = [p for kind, p in sent if kind == "decode"]
+        assert [
+            (decode[i // 8] >> (i % 8)) & 1 for i in range(len(circuit.outputs))
+        ] == reference.decode_bits
+
+
 class TestZeroLengthEdges:
-    """Degenerate shapes must work in both drive modes (satellite: the
-    streamed path's serializers see zero-byte payloads here)."""
+    """Degenerate shapes must work (the serializers see zero-byte
+    payloads here)."""
 
     @pytest.fixture
     def no_evaluator_inputs(self):
@@ -93,60 +133,52 @@ class TestZeroLengthEdges:
         gates = [Gate(GateOp.AND, 0, 1, 2)]
         return Circuit.from_gates(1, 1, gates, [2], "one-and")
 
-    @pytest.mark.parametrize("streamed", [False, True])
-    def test_no_evaluator_inputs(self, no_evaluator_inputs, streamed):
+    def test_no_evaluator_inputs(self, no_evaluator_inputs):
         for a in (0, 1):
             for b in (0, 1):
-                result = run_two_party(
-                    no_evaluator_inputs, [a, b], [], streamed=streamed
-                )
+                result = run_two_party(no_evaluator_inputs, [a, b], [])
                 assert result.output_bits == [a ^ (a & b)]
 
-    @pytest.mark.parametrize("streamed", [False, True])
-    def test_no_and_gates(self, xor_only, streamed):
+    def test_no_and_gates(self, xor_only):
         for a in (0, 1):
             for b in (0, 1):
-                result = run_two_party(xor_only, [a], [b], streamed=streamed)
+                result = run_two_party(xor_only, [a], [b])
                 assert result.output_bits == [1 ^ a ^ b]
                 assert result.and_gates == 0
-                if streamed:
-                    assert result.streamed_levels == 0
-                    assert result.first_level_s is None
+                assert result.streamed_levels == 0
+                assert result.first_level_s is None
 
-    @pytest.mark.parametrize("streamed", [False, True])
-    def test_single_and_level(self, single_level, streamed):
+    def test_single_and_level(self, single_level):
         for a in (0, 1):
             for b in (0, 1):
-                result = run_two_party(single_level, [a], [b], streamed=streamed)
+                result = run_two_party(single_level, [a], [b])
                 assert result.output_bits == [a & b]
-                if streamed:
-                    assert result.streamed_levels == 1
+                assert result.streamed_levels == 1
 
-    @pytest.mark.parametrize("streamed", [False, True])
-    def test_wrong_input_counts_rejected(self, single_level, streamed):
+    def test_wrong_input_counts_rejected(self, single_level):
         with pytest.raises(ValueError, match="garbler input bits"):
-            run_two_party(single_level, [0, 1], [0], streamed=streamed)
+            run_two_party(single_level, [0, 1], [0])
         with pytest.raises(ValueError, match="evaluator input bits"):
-            run_two_party(single_level, [0], [], streamed=streamed)
+            run_two_party(single_level, [0], [])
 
 
 class TestConfigWiring:
     def test_config_supplies_fault_spec(self, tiny_circuit):
         config = HaacConfig().with_fault_spec("duplicate:1.0,seed=3")
-        result = run_two_party(tiny_circuit, [1], [1], config=config, streamed=True)
+        result = run_two_party(tiny_circuit, [1], [1], config=config)
         assert result.output_bits == [(1 & 1) ^ 0]
         assert any(event.kind == "duplicate" for event in result.fault_events)
 
     def test_explicit_faults_beat_config(self, tiny_circuit):
         config = HaacConfig().with_fault_spec("drop:1.0,seed=3")
         result = run_two_party(
-            tiny_circuit, [1], [0], config=config, faults="seed=1", streamed=True
+            tiny_circuit, [1], [0], config=config, faults="seed=1"
         )
         assert result.fault_events == []
 
     def test_env_spec_consulted(self, tiny_circuit, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "duplicate:1.0,seed=2")
-        result = run_two_party(tiny_circuit, [0], [1], streamed=True)
+        result = run_two_party(tiny_circuit, [0], [1])
         assert any(event.kind == "duplicate" for event in result.fault_events)
 
 
@@ -163,7 +195,7 @@ class TestDegradationSurfacing:
     def test_pool_disabled_reason_lands_in_recovery_events(self, tiny_circuit):
         backend = get_backend("scalar")
         backend.pool_disabled_reason = "BrokenProcessPool: (test)"
-        result = run_two_party(tiny_circuit, [1], [1], backend=backend, streamed=True)
+        result = run_two_party(tiny_circuit, [1], [1], backend=backend)
         assert ("pool", "pool_disabled") in [
             (event.layer, event.kind) for event in result.recovery_events
         ]

@@ -4,7 +4,7 @@ The core invariant: a session run through :class:`SessionMultiplexer`
 -- interleaved with any number of neighbours, over any transport, with
 any in-flight window -- produces output bits *and* a transcript digest
 bit-identical to the same session run solo through
-``TwoPartySession.run_streamed``.  On top of that: fair round-robin
+``TwoPartySession.run``.  On top of that: fair round-robin
 scheduling, typed admission rejection, and honest per-session metrics.
 """
 
@@ -31,7 +31,7 @@ def _bits(circuit):
 
 def _solo(circuit, seed=7):
     g, e = _bits(circuit)
-    return TwoPartySession(circuit, seed=seed).run_streamed(g, e)
+    return TwoPartySession(circuit, seed=seed).run(g, e)
 
 
 class TestBitIdentity:

@@ -37,7 +37,7 @@ def _bits(circuit):
 
 def _solo(circuit, seed=7):
     g, e = _bits(circuit)
-    return TwoPartySession(circuit, seed=seed).run_streamed(g, e)
+    return TwoPartySession(circuit, seed=seed).run(g, e)
 
 
 class TestFaultIsolation:
@@ -158,7 +158,7 @@ class TestDeterminism:
             plan = parse_fault_spec(spec)
             result = TwoPartySession(
                 mixed_circuit, seed=7, faults=plan
-            ).run_streamed(g, e)
+            ).run(g, e)
             injected = [
                 (event.site, event.kind) for event in result.fault_events
             ]

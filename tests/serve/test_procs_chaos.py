@@ -51,7 +51,7 @@ def _bits(circuit):
 
 def _solo(circuit, seed=7):
     g, e = _bits(circuit)
-    return TwoPartySession(circuit, seed=seed).run_streamed(g, e)
+    return TwoPartySession(circuit, seed=seed).run(g, e)
 
 
 def _assert_reaped():

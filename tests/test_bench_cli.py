@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 import json
-import pathlib
-import sys
 
 import pytest
 
 from repro.cli import main as cli_main
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_bench_throughput_writes_schema_artifact(tmp_path):
@@ -99,19 +95,3 @@ def test_store_cli_info_bundle_merge(tmp_path, capsys):
 def test_store_merge_without_source_errors(tmp_path, capsys):
     assert cli_main(["store", "merge", "--dir", str(tmp_path)]) == 2
     assert "source" in capsys.readouterr().err
-
-
-def test_deprecated_shims_warn_and_forward(tmp_path, monkeypatch):
-    sys.path.insert(0, str(ROOT / "scripts"))
-    try:
-        import bench_throughput as shim
-    finally:
-        sys.path.pop(0)
-    out = tmp_path / "BENCH_throughput.json"
-    with pytest.warns(DeprecationWarning, match="repro bench"):
-        rc = shim.main([
-            "--quick", "--repeats", "1", "--workers", "none",
-            "--out", str(out),
-        ])
-    assert rc == 0
-    assert json.loads(out.read_text())["schema"] == "repro.bench_throughput/v1"

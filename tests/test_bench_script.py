@@ -1,26 +1,35 @@
-"""Bench tooling smoke tests: throughput/sim scripts + regression gate."""
+"""Bench tooling smoke tests: ``repro bench`` suites + regression gate."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SCRIPT = ROOT / "scripts" / "bench_throughput.py"
-SIM_SCRIPT = ROOT / "scripts" / "bench_sim.py"
-SCENARIOS_SCRIPT = ROOT / "scripts" / "bench_scenarios.py"
 CHECK_SCRIPT = ROOT / "scripts" / "check_bench_regression.py"
+
+
+def _bench(suite, *args, timeout=300):
+    """Run ``python -m repro bench <suite> ...`` from the source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "bench", suite, *args],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=env,
+        timeout=timeout,
+    )
 
 
 def test_bench_throughput_quick_emits_valid_json(tmp_path):
     out = tmp_path / "BENCH_throughput.json"
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--quick", "--json", str(out),
-         "--workers", "1,2"],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        timeout=300,
+    proc = _bench(
+        "throughput", "--quick", "--json", str(out), "--workers", "1,2"
     )
     assert proc.returncode == 0, proc.stderr
     data = json.loads(out.read_text())
@@ -49,26 +58,15 @@ def test_bench_throughput_quick_emits_valid_json(tmp_path):
 
 def test_bench_throughput_workers_none_skips_sweep(tmp_path):
     out = tmp_path / "BENCH_throughput.json"
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--quick", "--json", str(out),
-         "--workers", "none"],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        timeout=300,
+    proc = _bench(
+        "throughput", "--quick", "--json", str(out), "--workers", "none"
     )
     assert proc.returncode == 0, proc.stderr
     assert "parallel" not in json.loads(out.read_text())
 
 
 def test_bench_throughput_rejects_unknown_circuit():
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--circuit", "nonsense"],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        timeout=60,
-    )
+    proc = _bench("throughput", "--circuit", "nonsense", timeout=60)
     assert proc.returncode != 0
 
 
@@ -80,13 +78,7 @@ def test_bench_sim_quick_merges_into_report(tmp_path):
         "backends": {"scalar": {"garble": {"gates_per_s": 1.0},
                                 "evaluate": {"gates_per_s": 1.0}}},
     }))
-    proc = subprocess.run(
-        [sys.executable, str(SIM_SCRIPT), "--quick", "--json", str(out)],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        timeout=300,
-    )
+    proc = _bench("sim", "--quick", "--json", str(out))
     assert proc.returncode == 0, proc.stderr
     data = json.loads(out.read_text())
     assert data["schema"] == "repro.bench_throughput/v1"
@@ -123,13 +115,9 @@ def test_bench_sim_quick_merges_into_report(tmp_path):
 
 def test_bench_scenarios_quick_emits_grid(tmp_path):
     out = tmp_path / "BENCH_scenarios.json"
-    proc = subprocess.run(
-        [sys.executable, str(SCENARIOS_SCRIPT), "--quick", "--json", str(out),
-         "--queues", "64,4096,1048576", "--bandwidths", "8.8,35.2,512"],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        timeout=300,
+    proc = _bench(
+        "scenarios", "--quick", "--json", str(out),
+        "--queues", "64,4096,1048576", "--bandwidths", "8.8,35.2,512",
     )
     assert proc.returncode == 0, proc.stderr
     data = json.loads(out.read_text())
@@ -177,14 +165,9 @@ def test_bench_scenarios_unreached_sweeps_are_explicit(tmp_path):
     """A grid too small to reach the knee/flip must say so, in the
     artifact (nulls in summary) and on stdout -- not print 'at NoneB'."""
     out = tmp_path / "BENCH_scenarios.json"
-    proc = subprocess.run(
-        [sys.executable, str(SCENARIOS_SCRIPT), "--quick",
-         "--workloads", "ReLU", "--queues", "64", "--bandwidths", "8.8",
-         "--json", str(out)],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        timeout=300,
+    proc = _bench(
+        "scenarios", "--quick", "--workloads", "ReLU", "--queues", "64",
+        "--bandwidths", "8.8", "--json", str(out),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("not reached in sweep") == 2
@@ -198,9 +181,9 @@ def test_bench_scenarios_unreached_sweeps_are_explicit(tmp_path):
 def test_bench_scenarios_summary_lines_tolerate_empty_sweeps():
     """An empty --queues/--bandwidths sweep must not crash the summary
     text (max() over an empty list)."""
-    sys.path.insert(0, str(ROOT / "scripts"))
+    sys.path.insert(0, str(ROOT / "src"))
     try:
-        from bench_scenarios import summary_lines
+        from repro.bench.scenarios import summary_lines
     finally:
         sys.path.pop(0)
     section = {"summary": {
@@ -215,13 +198,9 @@ def test_bench_scenarios_summary_lines_tolerate_empty_sweeps():
 
 def test_bench_scenarios_no_serial_flag(tmp_path):
     out = tmp_path / "BENCH_scenarios.json"
-    proc = subprocess.run(
-        [sys.executable, str(SCENARIOS_SCRIPT), "--quick", "--no-serial",
-         "--workloads", "ReLU", "--json", str(out)],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        timeout=300,
+    proc = _bench(
+        "scenarios", "--quick", "--no-serial", "--workloads", "ReLU",
+        "--json", str(out),
     )
     assert proc.returncode == 0, proc.stderr
     section = json.loads(out.read_text())["workloads"]["ReLU"]
@@ -230,13 +209,9 @@ def test_bench_scenarios_no_serial_flag(tmp_path):
 
 
 def test_bench_scenarios_rejects_unknown_workload(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, str(SCENARIOS_SCRIPT), "--workloads", "NotAThing",
-         "--json", str(tmp_path / "out.json")],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        timeout=60,
+    proc = _bench(
+        "scenarios", "--workloads", "NotAThing",
+        "--json", str(tmp_path / "out.json"), timeout=60,
     )
     assert proc.returncode != 0
 
